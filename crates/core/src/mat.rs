@@ -211,12 +211,9 @@ impl MatTrainer {
     ///
     /// Panics if the topology does not fit the fault map's geometry.
     pub fn train(&self, data: &[Sample], faults: &FaultMap) -> TrainedModel {
-        let bank0 = &faults.banks()[0];
-        let layout = WeightLayout::new(&self.spec, faults.banks().len(), bank0.words())
-            .expect("network must fit the weight memories");
         // Compose the fault map into dense per-layer masks once; every
         // training step then runs mask-application as a flat sweep.
-        let quant = ComposedQuantizer::new(self.cfg.weight_fmt, &layout, Some(faults));
+        let (layout, quant) = self.compose(faults);
         let mut best: Option<(f64, Mlp)> = None;
         for restart in 0..self.cfg.restarts.max(1) {
             let master = self.train_once(data, &quant, restart as u64);
@@ -230,6 +227,23 @@ impl MatTrainer {
             fmt: self.cfg.weight_fmt,
             layout,
         }
+    }
+
+    /// Everything [`MatTrainer::train`] reads from `faults`: the weight
+    /// placement (a function of the map's bank count and words per bank)
+    /// and the composed masks of every placed word. Two maps with equal
+    /// geometry and equal composed quantizers train bit-identical models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology does not fit the fault map's geometry, or
+    /// the map's word width differs from the weight format's.
+    pub fn compose(&self, faults: &FaultMap) -> (WeightLayout, ComposedQuantizer) {
+        let bank0 = &faults.banks()[0];
+        let layout = WeightLayout::new(&self.spec, faults.banks().len(), bank0.words())
+            .expect("network must fit the weight memories");
+        let quant = ComposedQuantizer::new(self.cfg.weight_fmt, &layout, Some(faults));
+        (layout, quant)
     }
 
     fn train_once(&self, data: &[Sample], quant: &ComposedQuantizer, restart: u64) -> Mlp {

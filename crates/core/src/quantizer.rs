@@ -81,7 +81,7 @@ impl<'a> MaskedQuantizer<'a> {
 /// Per-layer injection masks aligned with the dense row-major parameter
 /// storage of an [`Mlp`](matic_nn::Mlp), kept as separate OR/AND/XOR
 /// planes so the quantize-mask-decode sweep reads flat `u32` streams.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LayerMasks {
     /// Per-weight OR masks, row-major `fan_out × fan_in`.
     w_or: Vec<u32>,
@@ -169,7 +169,13 @@ impl QuantConsts {
 /// Produces bit-identical effective values to the per-parameter
 /// [`MaskedQuantizer`] it was composed from (the masks are the same; only
 /// their lookup is hoisted).
-#[derive(Debug, Clone)]
+///
+/// Equality and hashing compare **content**: the format plus the OR/AND/XOR
+/// masks of every placed parameter, in parameter order. Two fault maps
+/// that agree on every word the layout places compose to equal
+/// quantizers, whatever their voltage or their unplaced words hold — so
+/// equal quantizers produce bit-identical effective networks.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComposedQuantizer {
     fmt: QFormat,
     layers: Vec<LayerMasks>,

@@ -43,6 +43,11 @@
 //! across the fault-free top of the voltage range while reproducing the
 //! paper's one-model-per-operating-point flow wherever maps differ.
 //!
+//! Across units, every training goes through the run's
+//! [`TrainingMemo`]: each distinct (recipe, placed masks) content is
+//! trained once, so every chip's baseline and every fault-free MAT point
+//! of a benchmark share one model.
+//!
 //! # The cache skip path
 //!
 //! With a [`SweepCache`] attached, each cell is looked up by its content
@@ -60,6 +65,7 @@
 //!   both the model bytes and the `reused_model` provenance flag.
 
 use crate::cache::{CacheUsage, CellKey, SweepCache, UnitKeyPrefix};
+use crate::memo::{TrainRecipe, TrainingMemo};
 use crate::plan::{ReusePolicy, StressAxis, SweepPlan, TrainingMode};
 use crate::report::{
     CellEnergy, CellRecord, PlanSummary, SweepReport, REPORT_SCHEMA, REPORT_SCHEMA_V4,
@@ -70,11 +76,11 @@ use crate::sched::{
 };
 use matic_core::{
     drop_surrogate_map, upload_weights, CellFaults, DeploymentFlow, FaultContext, FaultedWeights,
-    MatConfig, MatTrainer, ParamRef, TrainedModel, WeightLayout,
+    ParamRef, TrainedModel, WeightLayout,
 };
 use matic_datasets::Split;
 use matic_nn::kernel::MacDropSpec;
-use matic_nn::{NetSpec, Sample};
+use matic_nn::Sample;
 use matic_snnac::microcode::Program;
 use matic_snnac::npu::NpuStats;
 use matic_snnac::{Chip, ChipConfig, Snnac};
@@ -82,7 +88,7 @@ use matic_sram::{ArrayConfig, FaultMap, SramArray};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The outcome of one sweep run: the deterministic report plus the
 /// run's cache provenance. The provenance lives here — not inside the
@@ -95,6 +101,10 @@ pub struct SweepRun {
     pub report: SweepReport,
     /// How the attached cache was used (all-miss when none was).
     pub cache: CacheUsage,
+    /// How many models the run trained: the distinct (recipe, placed
+    /// masks) contents its cache misses needed (see [`TrainingMemo`]).
+    /// Identical for every thread count; never serialized.
+    pub models_trained: usize,
 }
 
 /// Runs the full sweep described by `plan` and aggregates the report.
@@ -160,6 +170,11 @@ pub fn sweep_units(plan: &SweepPlan) -> Vec<(usize, usize)> {
 /// sweeps sharing the same table and cache.
 pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutcome {
     let splits = sweep_splits(plan);
+    let memo = TrainingMemo::new();
+    let ctx = &ExecContext {
+        memo: Some(&memo),
+        ..*ctx
+    };
     let units = sweep_units(plan);
     let pool = ThreadPoolBuilder::new()
         .num_threads(plan.threads.unwrap_or(0))
@@ -173,13 +188,20 @@ pub fn run_sweep_observed(plan: &SweepPlan, ctx: &ExecContext<'_>) -> SweepOutco
             })
             .collect()
     });
-    assemble_sweep(plan, per_unit, ctx.cache.is_some())
+    match assemble_sweep(plan, per_unit, ctx.cache.is_some()) {
+        SweepOutcome::Complete(run) => SweepOutcome::Complete(SweepRun {
+            models_trained: memo.trained(),
+            ..run
+        }),
+        cancelled => cancelled,
+    }
 }
 
 /// Reassembles per-unit outcomes (in [`sweep_units`] order) into the
 /// sweep outcome. Grid order — not completion order — determines the
 /// report, which is what keeps service-scheduled sweeps byte-identical
-/// to batch runs.
+/// to batch runs. The run's [`models_trained`](SweepRun::models_trained)
+/// is left at zero: only the caller knows its training memo.
 pub fn assemble_sweep(
     plan: &SweepPlan,
     per_unit: Vec<UnitOutcome>,
@@ -258,6 +280,7 @@ pub fn assemble_sweep(
             points,
         },
         cache: usage,
+        models_trained: 0,
     })
 }
 
@@ -441,10 +464,21 @@ pub fn run_unit_observed(
 ) -> UnitOutcome {
     let scen = &*plan.scenarios[scen_idx];
     let points = plan.axis.points();
+    // A unit run outside a sweep still shares trainings among its own
+    // points (its baseline is its fault-free MAT model).
+    let private;
+    let memo = match ctx.memo {
+        Some(memo) => memo,
+        None => {
+            private = TrainingMemo::new();
+            &private
+        }
+    };
+    let trainer = UnitTrainer::new(plan, scen, &split.train, memo);
     if plan.model.needs_silicon() {
-        run_silicon_unit(plan, scen, scen_idx, chip_idx, split, points, ctx)
+        run_silicon_unit(plan, scen, scen_idx, chip_idx, split, points, &trainer, ctx)
     } else {
-        run_injected_unit(plan, scen, scen_idx, chip_idx, split, points, ctx)
+        run_injected_unit(plan, scen, scen_idx, chip_idx, split, points, &trainer, ctx)
     }
 }
 
@@ -454,7 +488,7 @@ pub fn run_unit_observed(
 /// cell of the unit records. Materialized on the first cache miss; a
 /// fully cached unit never trains it.
 struct NaiveBaseline {
-    model: TrainedModel,
+    model: Arc<TrainedModel>,
     nominal: f64,
 }
 
@@ -462,17 +496,16 @@ struct NaiveBaseline {
 /// **on the chip** at 0.9 V — the voltage-axis flavour.
 fn ensure_naive_on_chip<'a>(
     slot: &'a mut Option<NaiveBaseline>,
-    spec: &NetSpec,
-    cfg: &MatConfig,
+    trainer: &UnitTrainer<'_>,
     is_classification: bool,
-    split: &Split,
+    test: &[Sample],
     chip: &mut Chip,
 ) -> &'a NaiveBaseline {
     if slot.is_none() {
         let geom = chip.config().array.clone();
         let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = MatTrainer::new(spec.clone(), cfg.clone()).train(&split.train, &clean);
-        let (nominal, _) = eval_on_chip(chip, &model, is_classification, &split.test, 0.9);
+        let model = trainer.train(&clean);
+        let (nominal, _) = eval_on_chip(chip, &model, is_classification, test, 0.9);
         *slot = Some(NaiveBaseline { model, nominal });
     }
     slot.as_ref().expect("filled above")
@@ -484,20 +517,19 @@ fn ensure_naive_on_chip<'a>(
 /// with zero faults composed in.
 fn ensure_naive_injected<'a>(
     slot: &'a mut Option<NaiveBaseline>,
-    spec: &NetSpec,
-    cfg: &MatConfig,
+    trainer: &UnitTrainer<'_>,
     is_classification: bool,
-    split: &Split,
+    test: &[Sample],
     geom: &ArrayConfig,
 ) -> &'a NaiveBaseline {
     if slot.is_none() {
         let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = MatTrainer::new(spec.clone(), cfg.clone()).train(&split.train, &clean);
+        let model = trainer.train(&clean);
         let clean_faults = CellFaults {
             map: clean,
             drops: None,
         };
-        let nominal = eval_injected(&model, is_classification, &split.test, &clean_faults, geom);
+        let nominal = eval_injected(&model, is_classification, test, &clean_faults, geom);
         *slot = Some(NaiveBaseline { model, nominal });
     }
     slot.as_ref().expect("filled above")
@@ -511,7 +543,7 @@ fn ensure_naive_injected<'a>(
 /// always trained against `map`, reproducing the cold run's model bytes.
 struct AdaptiveModel {
     map: FaultMap,
-    model: Option<TrainedModel>,
+    model: Option<Arc<TrainedModel>>,
 }
 
 /// Advances the adaptive slot for a point whose profiled/injected map is
@@ -534,14 +566,38 @@ fn advance_adaptive(plan: &SweepPlan, slot: &mut Option<AdaptiveModel>, map: &Fa
 /// has not already done so.
 fn materialize_adaptive<'a>(
     slot: &'a mut AdaptiveModel,
-    spec: &NetSpec,
-    cfg: &MatConfig,
-    train: &[Sample],
+    trainer: &UnitTrainer<'_>,
 ) -> &'a TrainedModel {
     if slot.model.is_none() {
-        slot.model = Some(MatTrainer::new(spec.clone(), cfg.clone()).train(train, &slot.map));
+        slot.model = Some(trainer.train(&slot.map));
     }
     slot.model.as_ref().expect("filled above")
+}
+
+/// A unit's way to train: the scenario's recipe (topology, configuration,
+/// training split) bound to the training memo every training of the unit
+/// goes through.
+struct UnitTrainer<'a> {
+    memo: &'a TrainingMemo,
+    recipe: TrainRecipe<'a>,
+}
+
+impl<'a> UnitTrainer<'a> {
+    fn new(
+        plan: &SweepPlan,
+        scen: &dyn Scenario,
+        train: &'a [Sample],
+        memo: &'a TrainingMemo,
+    ) -> Self {
+        UnitTrainer {
+            memo,
+            recipe: TrainRecipe::new(scen.topology(), plan.train_config(scen), train),
+        }
+    }
+
+    fn train(&self, faults: &FaultMap) -> Arc<TrainedModel> {
+        self.memo.train(&self.recipe, faults)
+    }
 }
 
 /// Chip-evaluation results cached across voltage points whose profiled
@@ -568,10 +624,10 @@ fn run_silicon_unit(
     chip_idx: usize,
     split: &Split,
     points: &[f64],
+    trainer: &UnitTrainer<'_>,
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
     let spec = scen.topology();
-    let cfg = plan.train_config(scen);
     let is_class = scen.is_classification();
     let chip_cfg = ChipConfig::with_geometry(
         plan.model.geometry(),
@@ -645,7 +701,7 @@ fn run_silicon_unit(
             let cell = match mode {
                 TrainingMode::Naive => {
                     let baseline =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip);
+                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip);
                     let nominal = baseline.nominal;
                     let slot = &mut evals.as_mut().expect("initialized above").naive;
                     let (error, stats) = cached_eval(
@@ -661,14 +717,10 @@ fn run_silicon_unit(
                 }
                 TrainingMode::Mat => {
                     let nominal =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip)
+                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip)
                             .nominal;
-                    let model = materialize_adaptive(
-                        adaptive.as_mut().expect("advanced above"),
-                        &spec,
-                        &cfg,
-                        &split.train,
-                    );
+                    let model =
+                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), trainer);
                     let slot = &mut evals.as_mut().expect("initialized above").mat;
                     let (error, stats) =
                         cached_eval(slot, &mut chip, model, is_class, &split.test, voltage);
@@ -680,7 +732,7 @@ fn run_silicon_unit(
                 }
                 TrainingMode::MatCanary => {
                     let nominal =
-                        ensure_naive_on_chip(&mut naive, &spec, &cfg, is_class, split, &mut chip)
+                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip)
                             .nominal;
                     run_canary_cell(
                         plan, scen, chip_idx, &mut chip, &spec, split, voltage, nominal,
@@ -858,10 +910,10 @@ fn run_injected_unit(
     chip_idx: usize,
     split: &Split,
     points: &[f64],
+    trainer: &UnitTrainer<'_>,
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
     let spec = scen.topology();
-    let cfg = plan.train_config(scen);
     let is_class = scen.is_classification();
     let geom = plan.model.geometry();
     let layout = WeightLayout::new(&spec, geom.banks, geom.bank.words)
@@ -916,7 +968,7 @@ fn run_injected_unit(
             let cell = match mode {
                 TrainingMode::Naive => {
                     let baseline =
-                        ensure_naive_injected(&mut naive, &spec, &cfg, is_class, split, &geom);
+                        ensure_naive_injected(&mut naive, trainer, is_class, &split.test, &geom);
                     let error =
                         eval_injected(&baseline.model, is_class, &split.test, &faults, &geom);
                     base_injected_cell(
@@ -933,14 +985,10 @@ fn run_injected_unit(
                 }
                 TrainingMode::Mat => {
                     let nominal =
-                        ensure_naive_injected(&mut naive, &spec, &cfg, is_class, split, &geom)
+                        ensure_naive_injected(&mut naive, trainer, is_class, &split.test, &geom)
                             .nominal;
-                    let model = materialize_adaptive(
-                        adaptive.as_mut().expect("advanced above"),
-                        &spec,
-                        &cfg,
-                        &split.train,
-                    );
+                    let model =
+                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), trainer);
                     let error = eval_injected(model, is_class, &split.test, &faults, &geom);
                     let mut cell = base_injected_cell(
                         plan, scen, chip_idx, mode, stress, error, nominal, &train_map, drop_stats,

@@ -71,6 +71,7 @@
 
 pub mod cache;
 mod engine;
+pub mod memo;
 pub mod pareto;
 mod plan;
 mod report;
@@ -87,6 +88,7 @@ pub use engine::{
     assemble_sweep, eval_composed_set, eval_on_chip, run_sweep, run_sweep_observed,
     run_sweep_with_cache, run_unit_observed, set_eval_chunk, sweep_splits, sweep_units, SweepRun,
 };
+pub use memo::{TrainKey, TrainRecipe, TrainingMemo};
 pub use pareto::{
     energy_report, AccuracyBudget, BenchmarkEnergy, EnergyReport, EnergyReportError,
     ScenarioOutcome, ScenarioSelection, TradeoffPoint, ENERGY_SCHEMA,

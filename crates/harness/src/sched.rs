@@ -32,6 +32,7 @@
 //! the claim and compute the cell twice.
 
 use crate::cache::{CellKey, SweepCache};
+use crate::memo::TrainingMemo;
 use crate::report::CellRecord;
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -187,8 +188,8 @@ impl Drop for InflightGuard<'_> {
 
 /// Everything the engine consults while executing cells: the cache to
 /// replay from and checkpoint into, the in-flight table for cross-run
-/// dedup, the cancellation token, and the progress observer. All fields
-/// are optional; [`ExecContext::batch`] is the plain batch configuration.
+/// dedup, the cancellation token, the progress observer and the run's
+/// training memo. All fields are optional; [`ExecContext::batch`] is the plain batch configuration.
 #[derive(Default, Clone, Copy)]
 pub struct ExecContext<'a> {
     /// Persistent cell cache (replay + checkpoint-on-write), if any.
@@ -201,6 +202,9 @@ pub struct ExecContext<'a> {
     pub cancel: Option<&'a CancelToken>,
     /// Per-cell progress observer, if any.
     pub progress: Option<&'a dyn ProgressSink>,
+    /// The run's training memo, shared by every unit of the run. Without
+    /// one, each unit shares trainings only among its own points.
+    pub memo: Option<&'a TrainingMemo>,
 }
 
 /// What [`ExecContext::resolve`] decided about one cell.
@@ -292,6 +296,7 @@ impl std::fmt::Debug for ExecContext<'_> {
             .field("inflight", &self.inflight.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
+            .field("memo", &self.memo.is_some())
             .finish()
     }
 }

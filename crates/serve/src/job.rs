@@ -12,10 +12,10 @@ use crate::protocol::{JobKind, JobSpec, JobStatusInfo, ShardUnit};
 use matic_datasets::Split;
 use matic_harness::{
     assemble_sweep, energy_report, AccuracyBudget, CancelToken, CellOrigin, ProgressSink,
-    ReusePolicy, SweepOutcome, SweepPlan, TrainingMode, UnitOutcome,
+    ReusePolicy, SweepOutcome, SweepPlan, TrainingMemo, TrainingMode, UnitOutcome,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Builds the sweep plan a spec describes, with the same validation
@@ -178,11 +178,34 @@ impl JobPhase {
     }
 }
 
+/// What a job's units read while it runs: the per-scenario datasets and
+/// the job's training memo (scoped to this job; never shared across
+/// jobs). Dropped by the job when it turns terminal.
+#[derive(Debug)]
+pub struct JobInputs {
+    /// Per-scenario datasets, generated once at admission.
+    pub splits: Vec<Split>,
+    /// Every model the job's units train, each trained once.
+    pub memo: TrainingMemo,
+}
+
 struct JobState {
     phase: JobPhase,
     /// Per-unit outcome slots in [`matic_harness::sweep_units`] order.
     slots: Vec<Option<UnitOutcome>>,
     remaining: usize,
+    /// `None` once the phase is terminal, so a daemon retaining finished
+    /// jobs does not retain their datasets and models.
+    inputs: Option<Arc<JobInputs>>,
+}
+
+impl JobState {
+    fn set_phase(&mut self, phase: JobPhase) {
+        if phase.is_terminal() {
+            self.inputs = None;
+        }
+        self.phase = phase;
+    }
 }
 
 /// One admitted job. Shared between the connection thread that streams
@@ -197,8 +220,6 @@ pub struct Job {
     /// The job's `(scenario, chip)` units, scenario-major — the full
     /// grid, or the `chip_range` slice of it for shard jobs.
     pub units: Vec<(usize, usize)>,
-    /// Per-scenario datasets, generated once at admission.
-    pub splits: Vec<Split>,
     /// Cooperative cancellation for every unit of this job.
     pub cancel: CancelToken,
     /// Per-cell counters for progress streams.
@@ -211,8 +232,9 @@ pub struct Job {
 
 impl Job {
     /// Validates the spec and materializes the job (plan, units,
-    /// datasets). Dataset generation happens here — on the submitting
-    /// connection's thread — so pool workers only ever run units.
+    /// datasets, an empty training memo). Dataset generation happens
+    /// here — on the submitting connection's thread — so pool workers
+    /// only ever run units.
     pub fn admit(id: u64, spec: JobSpec, cache_enabled: bool) -> Result<Job, String> {
         let plan = build_plan(&spec)?;
         let splits = matic_harness::sweep_splits(&plan);
@@ -227,7 +249,6 @@ impl Job {
             spec,
             plan,
             units,
-            splits,
             cancel: CancelToken::new(),
             progress: JobProgress::default(),
             cache_enabled,
@@ -235,6 +256,10 @@ impl Job {
                 phase: JobPhase::Queued,
                 slots,
                 remaining,
+                inputs: Some(Arc::new(JobInputs {
+                    splits,
+                    memo: TrainingMemo::new(),
+                })),
             }),
             changed: Condvar::new(),
         })
@@ -275,7 +300,8 @@ impl Job {
                 .iter_mut()
                 .map(|s| s.take().expect("all units complete"))
                 .collect();
-            st.phase = self.finalize(per_unit);
+            let phase = self.finalize(per_unit);
+            st.set_phase(phase);
         }
         self.changed.notify_all();
     }
@@ -284,7 +310,7 @@ impl Job {
     pub fn fail(&self, reason: String) {
         let mut st = self.state.lock().expect("job state poisoned");
         if !st.phase.is_terminal() {
-            st.phase = JobPhase::Failed(reason);
+            st.set_phase(JobPhase::Failed(reason));
             self.changed.notify_all();
         }
     }
@@ -356,6 +382,17 @@ impl Job {
             deduped,
             misses,
         }
+    }
+
+    /// The datasets and training memo a unit runs against, or `None` once
+    /// the job is terminal. A running unit holds its own handle, so
+    /// releasing them never pulls data from under a straggler.
+    pub fn inputs(&self) -> Option<Arc<JobInputs>> {
+        self.state
+            .lock()
+            .expect("job state poisoned")
+            .inputs
+            .clone()
     }
 
     /// The current phase (cloned; terminal phases carry their payload).

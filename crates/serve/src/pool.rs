@@ -148,9 +148,12 @@ pub fn spawn_workers(
 
 /// Executes one unit of one job (the worker loop body).
 pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
-    if job.phase().is_terminal() {
-        return; // a failed job's stragglers are dead work
-    }
+    // The unit's own handle on the job's datasets and memo: the job drops
+    // its handle when it turns terminal, and this one lives only until
+    // the unit returns.
+    let Some(inputs) = job.inputs() else {
+        return; // a terminal job's stragglers are dead work
+    };
     if job.cancel.is_cancelled() {
         // Skip the walk entirely; an empty cancelled outcome still
         // participates in assembly so the job terminates.
@@ -171,8 +174,10 @@ pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
             inflight: Some(&exec.inflight),
             cancel: Some(&job.cancel),
             progress: Some(&job.progress),
+            memo: Some(&inputs.memo),
         };
-        matic_harness::run_unit_observed(&job.plan, scen_idx, chip_idx, &job.splits[scen_idx], &ctx)
+        let split = &inputs.splits[scen_idx];
+        matic_harness::run_unit_observed(&job.plan, scen_idx, chip_idx, split, &ctx)
     }));
     match outcome {
         Ok(outcome) => job.complete_unit(unit_idx, outcome),
@@ -185,20 +190,20 @@ pub fn run_one_unit(exec: &SharedExec, job: &Arc<Job>, unit_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobPhase;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    #[test]
-    fn queue_delivers_in_fifo_order_and_closes_cleanly() {
-        let q = Arc::new(WorkQueue::new(8));
+    /// A one-point inversek2j job over `chips` chips.
+    fn tiny_job(id: u64, chips: usize) -> Arc<Job> {
         let spec = crate::protocol::JobSpec {
             kind: crate::protocol::JobKind::Sweep,
-            chips: 1,
+            chips,
             voltages: Some(vec![0.9]),
             bers: None,
             clock: None,
             benchmarks: vec!["inversek2j".into()],
-            modes: vec!["naive".into()],
+            modes: vec!["naive".into(), "mat".into()],
             data_scale: 0.05,
             epoch_scale: 0.1,
             seed: 1,
@@ -208,7 +213,13 @@ mod tests {
             chip_range: None,
             topology: None,
         };
-        let job = Arc::new(Job::admit(1, spec, false).expect("valid spec"));
+        Arc::new(Job::admit(id, spec, false).expect("valid spec"))
+    }
+
+    #[test]
+    fn queue_delivers_in_fifo_order_and_closes_cleanly() {
+        let q = Arc::new(WorkQueue::new(8));
+        let job = tiny_job(1, 1);
         assert!(q.push((Arc::clone(&job), 0)));
         let (_, idx) = q.pop().expect("one queued item");
         assert_eq!(idx, 0);
@@ -220,24 +231,7 @@ mod tests {
     #[test]
     fn full_queue_blocks_push_until_a_pop_frees_a_slot() {
         let q = Arc::new(WorkQueue::new(1));
-        let spec = crate::protocol::JobSpec {
-            kind: crate::protocol::JobKind::Sweep,
-            chips: 2,
-            voltages: Some(vec![0.9]),
-            bers: None,
-            clock: None,
-            benchmarks: vec!["inversek2j".into()],
-            modes: vec!["naive".into()],
-            data_scale: 0.05,
-            epoch_scale: 0.1,
-            seed: 1,
-            no_reuse: false,
-            budget_percent: 2.0,
-            budget_mse: 0.02,
-            chip_range: None,
-            topology: None,
-        };
-        let job = Arc::new(Job::admit(1, spec, false).expect("valid spec"));
+        let job = tiny_job(1, 2);
         assert!(q.push((Arc::clone(&job), 0)));
 
         let pushed = Arc::new(AtomicUsize::new(0));
@@ -259,5 +253,42 @@ mod tests {
         let _ = q.pop().expect("frees the slot");
         blocked.join().expect("pusher thread");
         assert_eq!(pushed.load(Ordering::SeqCst), 2, "push succeeded");
+    }
+
+    #[test]
+    fn terminal_job_releases_its_datasets_and_memo() {
+        let exec = SharedExec::default();
+        for cancel in [false, true] {
+            let job = tiny_job(1, 2);
+            let inputs = Arc::downgrade(&job.inputs().expect("a fresh job holds its inputs"));
+            if cancel {
+                job.cancel.cancel();
+            }
+            for unit in 0..job.units.len() {
+                run_one_unit(&exec, &job, unit);
+            }
+            let phase = job.phase();
+            assert!(phase.is_terminal(), "{}", phase.name());
+            assert_eq!(matches!(phase, JobPhase::Cancelled { .. }), cancel);
+            assert!(job.inputs().is_none(), "{} job holds inputs", phase.name());
+            assert!(inputs.upgrade().is_none(), "nothing else holds them");
+        }
+
+        // A failed job drops its inputs at once; a straggler still
+        // running a unit keeps its own handle until it returns.
+        let job = tiny_job(2, 2);
+        let straggler = job.inputs().expect("a fresh job holds its inputs");
+        job.fail("worker panicked".into());
+        assert!(job.inputs().is_none());
+        assert_eq!(
+            straggler.splits.len(),
+            1,
+            "the straggler's handle stays valid"
+        );
+        let inputs = Arc::downgrade(&straggler);
+        drop(straggler);
+        assert!(inputs.upgrade().is_none());
+        run_one_unit(&exec, &job, 0);
+        assert!(matches!(job.phase(), JobPhase::Failed(_)));
     }
 }

@@ -395,6 +395,10 @@ impl SweepArgs {
         let start = std::time::Instant::now();
         let run = matic_harness::run_sweep_with_cache(&plan, cache.as_ref());
         let elapsed = start.elapsed();
+        narrate(
+            self.quiet,
+            format_args!("training: {} models trained", run.models_trained),
+        );
         if let Some(dir) = &cache_path {
             narrate(
                 self.quiet,
