@@ -14,6 +14,7 @@
 
 use crate::layout::{ParamRef, WeightLayout};
 use matic_fixed::{FxTensor, QFormat};
+use matic_nn::kernel::MacDropSpec;
 use matic_sram::SramArray;
 
 /// Dense per-layer fixed-point weights and biases as the hardware would
@@ -97,6 +98,29 @@ impl FaultedWeights {
         }
     }
 
+    /// Applies a timing-error drop set as weight content: zeroes every
+    /// weight whose MAC `drops` drops.
+    ///
+    /// A drop verdict depends only on `(layer, row, col)`, never on the
+    /// sample, and the NPU accumulates exactly in `i64` while counting a
+    /// dropped MAC like any other — so a dropped MAC and a zero weight
+    /// word are bit-identical, in every sample lane and on every kernel
+    /// tier. Folding once per operating point leaves the plain batched
+    /// kernels as the only inference path. Biases ride the short
+    /// accumulator path and never drop. The fold is the evaluation-side
+    /// twin of [`drop_surrogate_map`](crate::drop_surrogate_map).
+    pub fn drop_macs(&mut self, drops: &MacDropSpec) {
+        for (layer, tensor) in self.layers.iter_mut().enumerate() {
+            for row in 0..tensor.rows() {
+                for col in 0..tensor.cols() {
+                    if drops.dropped(layer, row, col) {
+                        tensor.set(row, col, 0);
+                    }
+                }
+            }
+        }
+    }
+
     /// The weight format every raw value is expressed in.
     pub fn format(&self) -> QFormat {
         self.fmt
@@ -174,6 +198,43 @@ mod tests {
                     matic_fixed::dequantize(fw.bias(l)[r], fw.format()),
                     quantized.biases()[l][r]
                 );
+            }
+        }
+    }
+
+    /// The evaluation-side fold and the training-side surrogate are one
+    /// fault: composing an array that holds the `drop_surrogate_map`
+    /// faults equals folding the drops into the clean composition, for a
+    /// dense and a conv layout alike. The sweep trains against, caches
+    /// by and replays on the surrogate map while it evaluates the fold,
+    /// so the two must never drift apart.
+    #[test]
+    fn drop_fold_equals_surrogate_map_composition() {
+        let conv_spec = NetSpec::parse_topology("6x6x1;conv3x4;pool2;dense3").unwrap();
+        let conv_data: Vec<Sample> = (0..8)
+            .map(|i| Sample::new(vec![i as f64 / 8.0; 36], vec![0.5; 3]))
+            .collect();
+        let conv = train_naive(&conv_spec, &conv_data, &MatConfig::quick(), 4, 64);
+        for model in [toy_model(), conv] {
+            for (seed, p) in [(5, 0.3), (9, 0.8), (13, 1.0)] {
+                let drops = MacDropSpec::new(seed, p);
+                let mut clean = array(1);
+                upload_weights(&model, &mut clean);
+                let plain = FaultedWeights::from_array(model.layout(), model.format(), &mut clean);
+                let mut folded = plain.clone();
+                folded.drop_macs(&drops);
+                assert_ne!(folded, plain, "seed {seed} p {p} must drop some weight");
+
+                let map = crate::drop_surrogate_map(&drops, model.layout(), 16);
+                let mut faulted = array(1);
+                upload_weights(&model, &mut faulted);
+                for (_, loc) in model.layout().entries() {
+                    let stored = faulted.read(loc.bank, loc.word);
+                    faulted.write(loc.bank, loc.word, map.apply(loc.bank, loc.word, stored));
+                }
+                let surrogate =
+                    FaultedWeights::from_array(model.layout(), model.format(), &mut faulted);
+                assert_eq!(folded, surrogate, "seed {seed} p {p}");
             }
         }
     }

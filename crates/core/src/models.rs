@@ -60,7 +60,8 @@ pub struct FaultContext<'a> {
 
 /// The fault content a model injects into one sweep cell: a storage-side
 /// fault map (applied to the weight words the network reads back) plus an
-/// optional kernel-side MAC-drop spec (applied inside the accumulation).
+/// optional kernel-side MAC-drop spec (evaluated by folding it into the
+/// composed weights, [`FaultedWeights::drop_macs`](crate::FaultedWeights::drop_macs)).
 #[derive(Debug, Clone)]
 pub struct CellFaults {
     /// Per-word stuck-at / flip masks over the weight array.

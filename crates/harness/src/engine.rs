@@ -35,9 +35,10 @@
 //! # Model reuse
 //!
 //! Under [`ReusePolicy::SupersetMap`](crate::ReusePolicy::SupersetMap)
-//! the engine walks voltages high-to-low and keeps the last trained
-//! model; a new point reuses it iff the training-time fault map is a
-//! superset of the point's map (bit-cell failures are monotone in
+//! the engine walks the stress points from mild to harsh (voltages
+//! high-to-low, BERs and clock stress low-to-high) and keeps the last
+//! trained model; a new point reuses it iff the training-time fault map
+//! is a superset of the point's map (bit-cell failures are monotone in
 //! voltage, so "no new faults appeared" means the trained model already
 //! routes around everything present). This skips redundant retraining
 //! across the fault-free top of the voltage range while reproducing the
@@ -47,6 +48,19 @@
 //! [`TrainingMemo`]: each distinct (recipe, placed masks) content is
 //! trained once, so every chip's baseline and every fault-free MAT point
 //! of a benchmark share one model.
+//!
+//! # One walk for every fault model
+//!
+//! Silicon-backed and synthetic fault models share one unit walk
+//! ([`run_unit_observed`]); a per-unit source only decides where fault
+//! content comes from (a profiled chip, or the plan's seeds) and where
+//! models are evaluated (on the chip, or in a clean store with the
+//! faults applied). Timing-error drops need no path of their own: a
+//! dropped MAC is bit-identical to a zero weight word, so evaluation
+//! folds the drop set into the composed weights once per cell
+//! ([`FaultedWeights::drop_macs`]) and runs the plain batched kernels,
+//! while training, cell keys and eval replay use the equivalent
+//! stuck-at-0 surrogate map ([`drop_surrogate_map`]).
 //!
 //! # The cache skip path
 //!
@@ -75,8 +89,8 @@ use crate::sched::{
     par_chunked, CancelledSweep, CellOrigin, ExecContext, Resolution, SweepOutcome, UnitOutcome,
 };
 use matic_core::{
-    drop_surrogate_map, upload_weights, CellFaults, DeploymentFlow, FaultContext, FaultedWeights,
-    ParamRef, TrainedModel, WeightLayout,
+    drop_surrogate_map, upload_weights, CellFaults, DeploymentFlow, FaultContext, FaultModel,
+    FaultedWeights, ParamRef, TrainedModel, WeightLayout,
 };
 use matic_datasets::Split;
 use matic_nn::kernel::MacDropSpec;
@@ -354,13 +368,17 @@ fn eval_chunk() -> usize {
 /// Table I metric and the per-inference cycle counters (identical for
 /// every sample — the NPU schedule is data-independent).
 ///
+/// A `drops` spec is applied once, before chunking, as weight content
+/// ([`FaultedWeights::drop_macs`]): a dropped MAC is bit-identical to a
+/// zero weight word, so every chunk runs the plain batched kernel.
+///
 /// # Determinism
 ///
-/// The result is bit-identical to the sequential per-sample
-/// `execute_composed_dropped` loop it replaces, and invariant across
-/// worker counts, chunk sizes and kernel tiers, because every stage
-/// either computes exact per-sample values or folds them in a fixed
-/// order:
+/// The result is bit-identical to a sequential per-sample
+/// `execute_composed` loop over the same (folded) weights, and invariant
+/// across worker counts, chunk sizes and kernel tiers, because every
+/// stage either computes exact per-sample values or folds them in a
+/// fixed order:
 ///
 /// 1. each sample's NPU output is bit-identical in every batching (exact
 ///    integer MACs, per-sample lanes);
@@ -369,7 +387,7 @@ fn eval_chunk() -> usize {
 /// 3. [`par_chunked`] reassembles the contributions in sample order
 ///    regardless of which worker computed which chunk;
 /// 4. the final fold is strictly sequential over that order, one f64
-///    accumulator, exactly like the old loop.
+///    accumulator.
 pub fn eval_composed_set(
     npu: &Snnac,
     program: &Program,
@@ -378,9 +396,19 @@ pub fn eval_composed_set(
     is_classification: bool,
     test: &[Sample],
 ) -> (f64, NpuStats) {
+    let folded;
+    let weights = match drops {
+        Some(drops) => {
+            let mut w = weights.clone();
+            w.drop_macs(drops);
+            folded = w;
+            &folded
+        }
+        None => weights,
+    };
     let per_sample: Vec<(f64, NpuStats)> = par_chunked(test, eval_chunk(), |samples| {
         let inputs: Vec<&[f64]> = samples.iter().map(|s| s.input.as_slice()).collect();
-        let (outs, stats) = npu.execute_batch_dropped(program, weights, &inputs, drops);
+        let (outs, stats) = npu.execute_batch(program, weights, &inputs);
         outs.iter()
             .zip(samples)
             .map(|(out, s)| {
@@ -432,7 +460,7 @@ fn argmax(v: &[f64]) -> usize {
 /// point for an inference whose NPU counters are `npu`: the point itself,
 /// the calibrated per-domain pJ/cycle there, energy/inference and power
 /// at the point's clock. The caller must have programmed the rail to the
-/// cell's voltage first (both `eval_on_chip` and `cached_eval` do).
+/// cell's voltage first ([`UnitSource::eval`] does, computed or replayed).
 fn cell_energy(chip: &Chip, npu: NpuStats) -> CellEnergy {
     let op = chip.operating_point();
     let (logic_pj_per_cycle, sram_pj_per_cycle) = chip.energy_per_cycle();
@@ -455,6 +483,14 @@ fn cell_energy(chip: &Chip, npu: NpuStats) -> CellEnergy {
 /// returns the prefix finished so far (all of it already checkpointed
 /// when a cache is attached). `split` must be the scenario's entry from
 /// [`sweep_splits`].
+///
+/// One walk serves every fault model; a per-unit source alone decides
+/// whether fault content is profiled from a chip or synthesized from the
+/// plan's seeds, and where models are evaluated. At each point the walk
+/// settles the point's fault *content* map — the profiled or injected
+/// map, or for timing-error drops the stuck-at-0 surrogate that equals
+/// the drops folded into the weights — and uses it for training, the
+/// cell keys and eval replay alike.
 pub fn run_unit_observed(
     plan: &SweepPlan,
     scen_idx: usize,
@@ -463,7 +499,8 @@ pub fn run_unit_observed(
     ctx: &ExecContext<'_>,
 ) -> UnitOutcome {
     let scen = &*plan.scenarios[scen_idx];
-    let points = plan.axis.points();
+    let is_class = scen.is_classification();
+    let test = &split.test;
     // A unit run outside a sweep still shares trainings among its own
     // points (its baseline is its fault-free MAT model).
     let private;
@@ -475,10 +512,203 @@ pub fn run_unit_observed(
         }
     };
     let trainer = UnitTrainer::new(plan, scen, &split.train, memo);
-    if plan.model.needs_silicon() {
-        run_silicon_unit(plan, scen, scen_idx, chip_idx, split, points, &trainer, ctx)
-    } else {
-        run_injected_unit(plan, scen, scen_idx, chip_idx, split, points, &trainer, ctx)
+    let geom = plan.model.geometry();
+    let layout = WeightLayout::new(&scen.topology(), geom.banks, geom.bank.words)
+        .expect("scenario topology fits the model's weight memory");
+    let mut source = UnitSource::new(plan, chip_idx);
+    let builder = CellBuilder {
+        plan,
+        scen,
+        chip_idx,
+    };
+    // The unit-invariant half of every cell key, hashed once.
+    let prefix = ctx
+        .cache
+        .map(|_| UnitKeyPrefix::new(plan, scen_idx, chip_idx));
+
+    let mut naive: Option<NaiveBaseline> = None;
+    let mut adaptive: Option<AdaptiveModel> = None;
+    let mut evals: Option<EvalCache> = None;
+    let points = plan.axis.points();
+    let mut cells = Vec::with_capacity(points.len() * plan.modes.len());
+    for (point_idx, &stress) in points.iter().enumerate() {
+        let faults = source.faults_at(
+            &*plan.model,
+            FaultContext {
+                stress,
+                cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
+                unit_seed: plan.unit_fault_seed(chip_idx, scen_idx),
+                profiled: None,
+            },
+        );
+        let (map, fault_stats) = match &faults.drops {
+            Some(drops) => (
+                drop_surrogate_map(drops, &layout, geom.bank.word_bits),
+                dropped_weight_stats(drops, &layout),
+            ),
+            None => (
+                faults.map.clone(),
+                (faults.map.fault_count(), faults.map.ber()),
+            ),
+        };
+        // One fault-content digest per point, shared by all modes.
+        let map_fp = prefix.as_ref().map(|_| map.fingerprint());
+        // A step that adds no new faults recomputes nothing: the trained
+        // model is reused below (superset-map policy) and the evaluations
+        // are replayed (valid because the models are unchanged whenever
+        // the map is). Compare fault *content* (the bank masks), not
+        // `FaultMap` equality — the map carries the profiled voltage,
+        // which differs at every step and would make this unreachable.
+        let keep_evals = plan.reuse == ReusePolicy::SupersetMap
+            && evals.as_ref().is_some_and(|e| e.map.banks() == map.banks());
+        if !keep_evals {
+            evals = Some(EvalCache {
+                map: map.clone(),
+                naive: None,
+                mat: None,
+            });
+        }
+        // Adaptive-model provenance for this point (shared by Mat cells;
+        // MatCanary trains its own because canary pins change the map).
+        // Advanced even when every cell here turns out cached, so later
+        // misses see the cold walk's training-time map.
+        let reused =
+            plan.modes.contains(&TrainingMode::Mat) && advance_adaptive(plan, &mut adaptive, &map);
+        for &mode in &plan.modes {
+            // The cooperative cancellation point: a cancelled sweep stops
+            // before starting the next cell, with everything finished so
+            // far already checkpointed.
+            if ctx.is_cancelled() {
+                return UnitOutcome {
+                    cells,
+                    cancelled: true,
+                };
+            }
+            let key = prefix
+                .as_ref()
+                .map(|p| p.cell(plan, point_idx, mode, map_fp.expect("set with prefix")));
+            let claim = match ctx.resolve(key.as_ref()) {
+                Resolution::Replay(hit, origin) => {
+                    cells.push((*hit, origin));
+                    continue;
+                }
+                Resolution::Compute(claim) => claim,
+            };
+            let nominal = ensure_naive(&mut naive, &trainer, &mut source, is_class, test, &geom);
+            let cell = if mode == TrainingMode::MatCanary {
+                let UnitSource::Silicon(chip) = &mut source else {
+                    unreachable!("plan validation rejects mat-canary on synthetic fault models")
+                };
+                run_canary_cell(&builder, chip, split, stress, nominal)
+            } else {
+                let evals = evals.as_mut().expect("initialized above");
+                let (model, slot) = match mode {
+                    TrainingMode::Naive => (
+                        &*naive.as_ref().expect("ensured above").model,
+                        &mut evals.naive,
+                    ),
+                    _ => (
+                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), &trainer),
+                        &mut evals.mat,
+                    ),
+                };
+                let (error, stats) = source.eval(slot, model, is_class, test, stress, &faults);
+                let mut cell = builder.build(mode, stress, error, nominal, fault_stats);
+                cell.energy = source.energy(stats);
+                cell.reused_model = mode == TrainingMode::Mat && reused;
+                cell
+            };
+            ctx.finish(claim, key.as_ref(), &cell);
+            cells.push((cell, CellOrigin::Computed));
+        }
+    }
+    UnitOutcome {
+        cells,
+        cancelled: false,
+    }
+}
+
+/// Where a unit's fault content comes from and where its models run —
+/// the only difference between silicon-backed and synthetic fault
+/// models.
+enum UnitSource {
+    /// A chip synthesized to the model's declared geometry
+    /// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)): it is
+    /// profiled at every point, models are evaluated on it (with energy),
+    /// and it can run the `mat-canary` deployment flow.
+    Silicon(Box<Chip>),
+    /// No silicon: fault content is derived from the plan's seeds and
+    /// models are evaluated in a clean store of this geometry with the
+    /// faults applied (see [`eval_injected`]).
+    Injected(ArrayConfig),
+}
+
+impl UnitSource {
+    fn new(plan: &SweepPlan, chip_idx: usize) -> Self {
+        if plan.model.needs_silicon() {
+            let cfg = ChipConfig::with_geometry(
+                plan.model.geometry(),
+                plan.model.weight_format().unwrap_or_default(),
+            );
+            UnitSource::Silicon(Box::new(Chip::synthesize(cfg, plan.chip_seed(chip_idx))))
+        } else {
+            UnitSource::Injected(plan.model.geometry())
+        }
+    }
+
+    /// The model's fault content at `ctx`, profiling the chip first when
+    /// there is one.
+    fn faults_at(&mut self, model: &dyn FaultModel, ctx: FaultContext<'_>) -> CellFaults {
+        match self {
+            UnitSource::Silicon(chip) => {
+                let profiled = chip.profile(ctx.stress);
+                model.faults_at(&FaultContext {
+                    profiled: Some(&profiled),
+                    ..ctx
+                })
+            }
+            UnitSource::Injected(_) => model.faults_at(&ctx),
+        }
+    }
+
+    /// Evaluates `model` at the point `stress` with fault content
+    /// `faults` (a chip reads its own silicon instead), or replays the
+    /// evaluation held in `slot`. Replay is only valid because an
+    /// evaluation is a pure function of (model, fault content) — the
+    /// caller clears the slot whenever either changes — and on a chip it
+    /// still programs the rail, so [`UnitSource::energy`] sees the
+    /// point's operating point either way.
+    fn eval(
+        &mut self,
+        slot: &mut Option<(f64, NpuStats)>,
+        model: &TrainedModel,
+        is_classification: bool,
+        test: &[Sample],
+        stress: f64,
+        faults: &CellFaults,
+    ) -> (f64, NpuStats) {
+        match (self, *slot) {
+            (UnitSource::Silicon(chip), Some(cached)) => {
+                chip.set_sram_voltage(stress);
+                cached
+            }
+            (UnitSource::Injected(_), Some(cached)) => cached,
+            (UnitSource::Silicon(chip), None) => {
+                *slot.insert(eval_on_chip(chip, model, is_classification, test, stress))
+            }
+            (UnitSource::Injected(geom), None) => {
+                *slot.insert(eval_injected(model, is_classification, test, faults, geom))
+            }
+        }
+    }
+
+    /// The energy record of an inference with counters `npu` at the
+    /// current operating point — only a chip has one.
+    fn energy(&self, npu: NpuStats) -> Option<CellEnergy> {
+        match self {
+            UnitSource::Silicon(chip) => Some(cell_energy(chip, npu)),
+            UnitSource::Injected(_) => None,
+        }
     }
 }
 
@@ -492,36 +722,18 @@ struct NaiveBaseline {
     nominal: f64,
 }
 
-/// Trains the baseline (if not yet trained) and evaluates nominal error
-/// **on the chip** at 0.9 V — the voltage-axis flavour.
-fn ensure_naive_on_chip<'a>(
-    slot: &'a mut Option<NaiveBaseline>,
+/// Trains the baseline (if not yet trained) and evaluates its nominal
+/// error through the unit's source at 0.9 V with zero faults composed
+/// in: on the chip at its nominal rail, or in a clean store. Returns
+/// the nominal error.
+fn ensure_naive(
+    slot: &mut Option<NaiveBaseline>,
     trainer: &UnitTrainer<'_>,
-    is_classification: bool,
-    test: &[Sample],
-    chip: &mut Chip,
-) -> &'a NaiveBaseline {
-    if slot.is_none() {
-        let geom = chip.config().array.clone();
-        let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
-        let model = trainer.train(&clean);
-        let (nominal, _) = eval_on_chip(chip, &model, is_classification, test, 0.9);
-        *slot = Some(NaiveBaseline { model, nominal });
-    }
-    slot.as_ref().expect("filled above")
-}
-
-/// Baseline flavour for synthetic (injected) fault models: nominal error
-/// is the quantized model through the NPU against a clean store and an
-/// undropped kernel — the same evaluation path the stressed cells use,
-/// with zero faults composed in.
-fn ensure_naive_injected<'a>(
-    slot: &'a mut Option<NaiveBaseline>,
-    trainer: &UnitTrainer<'_>,
+    source: &mut UnitSource,
     is_classification: bool,
     test: &[Sample],
     geom: &ArrayConfig,
-) -> &'a NaiveBaseline {
+) -> f64 {
     if slot.is_none() {
         let clean = FaultMap::clean(0.9, geom.banks, geom.bank.words, geom.bank.word_bits);
         let model = trainer.train(&clean);
@@ -529,10 +741,17 @@ fn ensure_naive_injected<'a>(
             map: clean,
             drops: None,
         };
-        let nominal = eval_injected(&model, is_classification, test, &clean_faults, geom);
+        let (nominal, _) = source.eval(
+            &mut None,
+            &model,
+            is_classification,
+            test,
+            0.9,
+            &clean_faults,
+        );
         *slot = Some(NaiveBaseline { model, nominal });
     }
-    slot.as_ref().expect("filled above")
+    slot.as_ref().expect("filled above").nominal
 }
 
 /// The unit's adaptive-model slot. `map` is the fault map the cold walk
@@ -546,7 +765,7 @@ struct AdaptiveModel {
     model: Option<Arc<TrainedModel>>,
 }
 
-/// Advances the adaptive slot for a point whose profiled/injected map is
+/// Advances the adaptive slot for a point whose fault content map is
 /// `map`. Returns `true` when the cold walk would have reused the
 /// previously trained model (the slot keeps its training-time map),
 /// `false` when it would retrain (the slot re-targets `map`, lazily).
@@ -600,153 +819,16 @@ impl<'a> UnitTrainer<'a> {
     }
 }
 
-/// Chip-evaluation results cached across voltage points whose profiled
-/// fault maps are identical. The fault-composed weights — and therefore
-/// the metric and the cycle counters — are a pure function of
-/// (model, fault map), so when a voltage step adds no new faults the NPU
-/// would reproduce the same numbers read-for-read; only the
-/// operating-point energy scaling (computed outside the cache) changes.
+/// Evaluation results replayed across stress points whose fault content
+/// is identical. The evaluation — the metric and the cycle counters — is
+/// a pure function of (model, fault content), so when a step adds no new
+/// faults the NPU would reproduce the same numbers read-for-read; only
+/// the operating-point energy scaling (computed outside the cache)
+/// changes.
 struct EvalCache {
     map: FaultMap,
     naive: Option<(f64, NpuStats)>,
     mat: Option<(f64, NpuStats)>,
-}
-
-/// The sweep unit for silicon-backed fault models
-/// ([`needs_silicon`](matic_core::FaultModel::needs_silicon)): a chip is
-/// synthesized to the model's declared geometry, profiled at every stress
-/// point, and the model turns the profile into the cell's fault content.
-#[allow(clippy::too_many_arguments)]
-fn run_silicon_unit(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    scen_idx: usize,
-    chip_idx: usize,
-    split: &Split,
-    points: &[f64],
-    trainer: &UnitTrainer<'_>,
-    ctx: &ExecContext<'_>,
-) -> UnitOutcome {
-    let spec = scen.topology();
-    let is_class = scen.is_classification();
-    let chip_cfg = ChipConfig::with_geometry(
-        plan.model.geometry(),
-        plan.model.weight_format().unwrap_or_default(),
-    );
-    let mut chip = Chip::synthesize(chip_cfg, plan.chip_seed(chip_idx));
-    // The unit-invariant half of every cell key, hashed once.
-    let prefix = ctx
-        .cache
-        .map(|_| UnitKeyPrefix::new(plan, scen_idx, chip_idx));
-
-    let mut naive: Option<NaiveBaseline> = None;
-    let mut adaptive: Option<AdaptiveModel> = None;
-    let mut evals: Option<EvalCache> = None;
-    let mut cells = Vec::with_capacity(points.len() * plan.modes.len());
-    for (point_idx, &voltage) in points.iter().enumerate() {
-        let profiled = chip.profile(voltage);
-        let map = plan
-            .model
-            .faults_at(&FaultContext {
-                stress: voltage,
-                cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
-                unit_seed: plan.unit_fault_seed(chip_idx, scen_idx),
-                profiled: Some(&profiled),
-            })
-            .map;
-        // One fault-content digest per point, shared by all modes.
-        let map_fp = prefix.as_ref().map(|_| map.fingerprint());
-        // A voltage step that adds no new faults recomputes nothing: the
-        // trained model is reused below (superset-map policy) and the
-        // chip evaluations are replayed from the cache (valid because the
-        // models are unchanged whenever the map is). Compare fault
-        // *content* (the bank masks), not `FaultMap` equality — the map
-        // carries the profiled voltage, which differs at every step and
-        // would make this replay unreachable.
-        let keep_evals = plan.reuse == ReusePolicy::SupersetMap
-            && evals.as_ref().is_some_and(|e| e.map.banks() == map.banks());
-        if !keep_evals {
-            evals = Some(EvalCache {
-                map: map.clone(),
-                naive: None,
-                mat: None,
-            });
-        }
-        // Adaptive-model provenance for this operating point (shared by
-        // Mat cells; MatCanary trains its own because canary pins change
-        // the map). Advanced even when every cell here turns out cached,
-        // so later misses see the cold walk's training-time map.
-        let reused =
-            plan.modes.contains(&TrainingMode::Mat) && advance_adaptive(plan, &mut adaptive, &map);
-        for &mode in &plan.modes {
-            // The cooperative cancellation point: a cancelled sweep stops
-            // before starting the next cell, with everything finished so
-            // far already checkpointed.
-            if ctx.is_cancelled() {
-                return UnitOutcome {
-                    cells,
-                    cancelled: true,
-                };
-            }
-            let key = prefix
-                .as_ref()
-                .map(|p| p.cell(plan, point_idx, mode, map_fp.expect("set with prefix")));
-            let claim = match ctx.resolve(key.as_ref()) {
-                Resolution::Replay(hit, origin) => {
-                    cells.push((*hit, origin));
-                    continue;
-                }
-                Resolution::Compute(claim) => claim,
-            };
-            let cell = match mode {
-                TrainingMode::Naive => {
-                    let baseline =
-                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip);
-                    let nominal = baseline.nominal;
-                    let slot = &mut evals.as_mut().expect("initialized above").naive;
-                    let (error, stats) = cached_eval(
-                        slot,
-                        &mut chip,
-                        &baseline.model,
-                        is_class,
-                        &split.test,
-                        voltage,
-                    );
-                    base_cell(plan, scen, chip_idx, mode, voltage, error, nominal, &map)
-                        .with_energy(cell_energy(&chip, stats))
-                }
-                TrainingMode::Mat => {
-                    let nominal =
-                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip)
-                            .nominal;
-                    let model =
-                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), trainer);
-                    let slot = &mut evals.as_mut().expect("initialized above").mat;
-                    let (error, stats) =
-                        cached_eval(slot, &mut chip, model, is_class, &split.test, voltage);
-                    let mut cell =
-                        base_cell(plan, scen, chip_idx, mode, voltage, error, nominal, &map)
-                            .with_energy(cell_energy(&chip, stats));
-                    cell.reused_model = reused;
-                    cell
-                }
-                TrainingMode::MatCanary => {
-                    let nominal =
-                        ensure_naive_on_chip(&mut naive, trainer, is_class, &split.test, &mut chip)
-                            .nominal;
-                    run_canary_cell(
-                        plan, scen, chip_idx, &mut chip, &spec, split, voltage, nominal,
-                    )
-                }
-            };
-            ctx.finish(claim, key.as_ref(), &cell);
-            cells.push((cell, CellOrigin::Computed));
-        }
-    }
-    UnitOutcome {
-        cells,
-        cancelled: false,
-    }
 }
 
 /// Checkpoint-on-write: persists a freshly computed cell. Best-effort —
@@ -773,48 +855,22 @@ pub(crate) fn store_checkpoint(
     }
 }
 
-/// Replays a cached chip evaluation, or runs [`eval_on_chip`] and fills
-/// the slot. Replay is only valid because the evaluation is a pure
-/// function of (model, fault map) — the caller guarantees the slot was
-/// cleared whenever either changed — and it still programs the rail so
-/// the caller's energy accounting sees the correct operating point.
-fn cached_eval(
-    slot: &mut Option<(f64, NpuStats)>,
-    chip: &mut Chip,
-    model: &TrainedModel,
-    is_classification: bool,
-    test: &[Sample],
-    voltage: f64,
-) -> (f64, NpuStats) {
-    match *slot {
-        Some(cached) => {
-            chip.set_sram_voltage(voltage);
-            cached
-        }
-        None => *slot.insert(eval_on_chip(chip, model, is_classification, test, voltage)),
-    }
-}
-
 /// The full deployment-flow cell: profile → canary selection → MAT with
 /// pinned canaries → upload/arm → runtime controller settles the rail →
 /// evaluate through the NPU at the settled voltage.
-#[allow(clippy::too_many_arguments)]
 fn run_canary_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
+    builder: &CellBuilder<'_>,
     chip: &mut Chip,
-    spec: &matic_nn::NetSpec,
     split: &Split,
     voltage: f64,
     nominal: f64,
 ) -> CellRecord {
-    let is_class = scen.is_classification();
+    let scen = builder.scen;
     let flow = DeploymentFlow {
-        mat: plan.train_config(scen),
+        mat: builder.plan.train_config(scen),
         ..DeploymentFlow::new(voltage)
     };
-    let mut net = chip.deploy(&flow, spec, &split.train);
+    let mut net = chip.deploy(&flow, &scen.topology(), &split.train);
     let settled = chip.poll_canaries(&mut net);
     // Compose the post-disturb contents once at the settled rail and run
     // the whole eval set through the batched kernel. Bit-identical to
@@ -827,21 +883,18 @@ fn run_canary_cell(
         net.program(),
         &weights,
         None,
-        is_class,
+        scen.is_classification(),
         &split.test,
     );
-    let map = net.deployment().fault_map().clone();
-    let mut cell = base_cell(
-        plan,
-        scen,
-        chip_idx,
+    let map = net.deployment().fault_map();
+    let mut cell = builder.build(
         TrainingMode::MatCanary,
         voltage,
         error,
         nominal,
-        &map,
-    )
-    .with_energy(cell_energy(chip, first_npu));
+        (map.fault_count(), map.ber()),
+    );
+    cell.energy = Some(cell_energy(chip, first_npu));
     cell.settled_voltage = Some(settled);
     cell
 }
@@ -850,17 +903,17 @@ fn run_canary_cell(
 /// silicon**: the quantized weights land in a behaviourally clean store
 /// (an SRAM array held at the 0.9 V nominal point, where every bit-cell
 /// reads back faithfully — the Vmin distribution tops out far below it),
-/// the model's storage faults are applied word-by-word, and the test set
-/// runs through the NPU's dense kernel with the model's MAC-drop spec
-/// composed into the accumulation. [`FaultedWeights`] stays the hot
-/// path; the fault map is never consulted per MAC.
+/// the model's storage faults are applied word-by-word, and any MAC-drop
+/// spec is folded into the composed weights. [`FaultedWeights`] stays
+/// the hot path; neither the fault map nor the drop spec is consulted
+/// per MAC.
 fn eval_injected(
     model: &TrainedModel,
     is_classification: bool,
     test: &[Sample],
     faults: &CellFaults,
     geom: &ArrayConfig,
-) -> f64 {
+) -> (f64, NpuStats) {
     let mut array = SramArray::synthesize(geom, 0);
     upload_weights(model, &mut array);
     for b in 0..geom.banks {
@@ -876,7 +929,7 @@ fn eval_injected(
     let npu = Snnac::snnac(model.format());
     let program = Program::compile(model.master().spec(), npu.pe_count());
     let drops = faults.drops.as_ref();
-    eval_composed_set(&npu, &program, &weights, drops, is_classification, test).0
+    eval_composed_set(&npu, &program, &weights, drops, is_classification, test)
 }
 
 /// How many of the layout's weight parameters a drop spec kills, as
@@ -896,212 +949,61 @@ fn dropped_weight_stats(drops: &MacDropSpec, layout: &WeightLayout) -> (usize, f
     (dropped, dropped as f64 / total.max(1) as f64)
 }
 
-/// The sweep unit for synthetic fault models (`needs_silicon() == false`):
-/// fault content is derived from the plan's seeds, MAT trains against the
-/// injected map — or, for kernel-side drops, against the exact stuck-at-0
-/// surrogate (a dropped MAC contributes zero to the integer accumulation,
-/// precisely what a zeroed weight word does) — and every evaluation runs
-/// through the NPU with the faults composed in.
-#[allow(clippy::too_many_arguments)]
-fn run_injected_unit(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    scen_idx: usize,
+/// What every cell of a unit shares: the plan, the scenario and the
+/// chip it was swept on.
+struct CellBuilder<'a> {
+    plan: &'a SweepPlan,
+    scen: &'a dyn Scenario,
     chip_idx: usize,
-    split: &Split,
-    points: &[f64],
-    trainer: &UnitTrainer<'_>,
-    ctx: &ExecContext<'_>,
-) -> UnitOutcome {
-    let spec = scen.topology();
-    let is_class = scen.is_classification();
-    let geom = plan.model.geometry();
-    let layout = WeightLayout::new(&spec, geom.banks, geom.bank.words)
-        .expect("scenario topology fits the model's weight memory");
-
-    // The unit-invariant half of every cell key, hashed once.
-    let prefix = ctx
-        .cache
-        .map(|_| UnitKeyPrefix::new(plan, scen_idx, chip_idx));
-    let mut naive: Option<NaiveBaseline> = None;
-    let mut adaptive: Option<AdaptiveModel> = None;
-    let mut cells = Vec::with_capacity(points.len() * plan.modes.len());
-    for (point_idx, &stress) in points.iter().enumerate() {
-        let faults = plan.model.faults_at(&FaultContext {
-            stress,
-            cell_seed: plan.cell_map_seed(chip_idx, scen_idx, point_idx),
-            unit_seed: plan.unit_fault_seed(chip_idx, scen_idx),
-            profiled: None,
-        });
-        // The map MAT trains against — and the content the cell key
-        // fingerprints: the injected map itself for storage faults, the
-        // stuck-at-0 surrogate for kernel-side drops.
-        let train_map = match &faults.drops {
-            Some(drops) => drop_surrogate_map(drops, &layout, geom.bank.word_bits),
-            None => faults.map.clone(),
-        };
-        let drop_stats = faults
-            .drops
-            .as_ref()
-            .map(|d| dropped_weight_stats(d, &layout));
-        // One fault-content digest per point, shared by all modes.
-        let map_fp = prefix.as_ref().map(|_| train_map.fingerprint());
-        let reused = plan.modes.contains(&TrainingMode::Mat)
-            && advance_adaptive(plan, &mut adaptive, &train_map);
-        for &mode in &plan.modes {
-            if ctx.is_cancelled() {
-                return UnitOutcome {
-                    cells,
-                    cancelled: true,
-                };
-            }
-            let key = prefix
-                .as_ref()
-                .map(|p| p.cell(plan, point_idx, mode, map_fp.expect("set with prefix")));
-            let claim = match ctx.resolve(key.as_ref()) {
-                Resolution::Replay(hit, origin) => {
-                    cells.push((*hit, origin));
-                    continue;
-                }
-                Resolution::Compute(claim) => claim,
-            };
-            let cell = match mode {
-                TrainingMode::Naive => {
-                    let baseline =
-                        ensure_naive_injected(&mut naive, trainer, is_class, &split.test, &geom);
-                    let error =
-                        eval_injected(&baseline.model, is_class, &split.test, &faults, &geom);
-                    base_injected_cell(
-                        plan,
-                        scen,
-                        chip_idx,
-                        mode,
-                        stress,
-                        error,
-                        baseline.nominal,
-                        &train_map,
-                        drop_stats,
-                    )
-                }
-                TrainingMode::Mat => {
-                    let nominal =
-                        ensure_naive_injected(&mut naive, trainer, is_class, &split.test, &geom)
-                            .nominal;
-                    let model =
-                        materialize_adaptive(adaptive.as_mut().expect("advanced above"), trainer);
-                    let error = eval_injected(model, is_class, &split.test, &faults, &geom);
-                    let mut cell = base_injected_cell(
-                        plan, scen, chip_idx, mode, stress, error, nominal, &train_map, drop_stats,
-                    );
-                    cell.reused_model = reused;
-                    cell
-                }
-                TrainingMode::MatCanary => {
-                    unreachable!("plan validation rejects mat-canary on synthetic fault models")
-                }
-            };
-            ctx.finish(claim, key.as_ref(), &cell);
-            cells.push((cell, CellOrigin::Computed));
-        }
-    }
-    UnitOutcome {
-        cells,
-        cancelled: false,
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn base_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    mode: TrainingMode,
-    voltage: f64,
-    error: f64,
-    nominal: f64,
-    map: &FaultMap,
-) -> CellRecord {
-    let mut cell = new_cell(plan, scen, chip_idx, mode, error, nominal, map);
-    cell.voltage = Some(voltage);
-    cell
-}
-
-/// A cell of the injected (synthetic-model) path: the stress value lands
-/// in the axis-appropriate column, and for kernel-side drop models the
-/// storage-map statistics — meaningless there — are replaced by the
-/// dropped-MAC population.
-#[allow(clippy::too_many_arguments)]
-fn base_injected_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    mode: TrainingMode,
-    stress: f64,
-    error: f64,
-    nominal: f64,
-    map: &FaultMap,
-    drop_stats: Option<(usize, f64)>,
-) -> CellRecord {
-    let mut cell = new_cell(plan, scen, chip_idx, mode, error, nominal, map);
-    match &plan.axis {
-        StressAxis::Voltage(_) => cell.voltage = Some(stress),
-        StressAxis::BitErrorRate(_) => cell.ber_target = Some(stress),
-        StressAxis::ClockStress(_) => cell.clock_stress = Some(stress),
-    }
-    if let Some((dropped, fraction)) = drop_stats {
-        cell.fault_count = dropped;
-        cell.measured_ber = fraction;
-    }
-    cell
-}
-
-fn new_cell(
-    plan: &SweepPlan,
-    scen: &dyn Scenario,
-    chip_idx: usize,
-    mode: TrainingMode,
-    error: f64,
-    nominal: f64,
-    map: &FaultMap,
-) -> CellRecord {
-    let is_class = scen.is_classification();
-    let margin = if is_class {
-        plan.fail_margin_percent
-    } else {
-        plan.fail_margin_mse
-    };
-    CellRecord {
-        scenario: scen.name().to_string(),
-        chip_index: chip_idx,
-        chip_seed: plan.chip_seed(chip_idx),
-        mode: mode.name().to_string(),
-        fault_model: plan.model.name().to_string(),
-        voltage: None,
-        ber_target: None,
-        clock_stress: None,
-        error,
-        nominal_error: nominal,
-        metric: if is_class {
-            "classification_error_percent".to_string()
+impl CellBuilder<'_> {
+    /// A computed cell. The stress value lands in the axis-appropriate
+    /// column; `(fault_count, measured_ber)` are the fault map's
+    /// statistics, or for drop models the dropped-weight population.
+    fn build(
+        &self,
+        mode: TrainingMode,
+        stress: f64,
+        error: f64,
+        nominal: f64,
+        (fault_count, measured_ber): (usize, f64),
+    ) -> CellRecord {
+        let (plan, scen) = (self.plan, self.scen);
+        let is_class = scen.is_classification();
+        let margin = if is_class {
+            plan.fail_margin_percent
         } else {
-            "mse".to_string()
-        },
-        energy: None,
-        measured_ber: map.ber(),
-        fault_count: map.fault_count(),
-        settled_voltage: None,
-        reused_model: false,
-        failed: error > nominal + margin,
-    }
-}
-
-trait WithEnergy {
-    fn with_energy(self, energy: CellEnergy) -> Self;
-}
-
-impl WithEnergy for CellRecord {
-    fn with_energy(mut self, energy: CellEnergy) -> Self {
-        self.energy = Some(energy);
-        self
+            plan.fail_margin_mse
+        };
+        let mut cell = CellRecord {
+            scenario: scen.name().to_string(),
+            chip_index: self.chip_idx,
+            chip_seed: plan.chip_seed(self.chip_idx),
+            mode: mode.name().to_string(),
+            fault_model: plan.model.name().to_string(),
+            voltage: None,
+            ber_target: None,
+            clock_stress: None,
+            error,
+            nominal_error: nominal,
+            metric: if is_class {
+                "classification_error_percent".to_string()
+            } else {
+                "mse".to_string()
+            },
+            energy: None,
+            measured_ber,
+            fault_count,
+            settled_voltage: None,
+            reused_model: false,
+            failed: error > nominal + margin,
+        };
+        match &plan.axis {
+            StressAxis::Voltage(_) => cell.voltage = Some(stress),
+            StressAxis::BitErrorRate(_) => cell.ber_target = Some(stress),
+            StressAxis::ClockStress(_) => cell.clock_stress = Some(stress),
+        }
+        cell
     }
 }

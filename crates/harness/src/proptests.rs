@@ -20,12 +20,19 @@ use matic_nn::kernel::{set_kernel_tier, KernelTier};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// A small but non-trivial plan: two voltage points (one overscaled, so
-/// fault maps are non-empty), two training modes, a real benchmark.
-fn tiny_plan(threads: usize) -> SweepPlan {
-    SweepPlan::builder()
+/// A small but non-trivial plan: two stress points (one harsh, so fault
+/// content is non-empty), two training modes, a real benchmark. The
+/// voltage axis runs on silicon; the clock axis injects timing-error
+/// drops, which evaluation folds into the weights as zero words.
+fn tiny_plan(threads: usize, clock: bool) -> SweepPlan {
+    let builder = SweepPlan::builder();
+    let builder = if clock {
+        builder.clock_stress(&[0.3, 0.8])
+    } else {
+        builder.voltages(&[0.9, 0.52])
+    };
+    builder
         .chips(1)
-        .voltages(&[0.9, 0.52])
         .benchmark("inversek2j")
         .expect("builtin benchmark")
         .modes(&[TrainingMode::Naive, TrainingMode::Mat])
@@ -37,13 +44,14 @@ fn tiny_plan(threads: usize) -> SweepPlan {
         .expect("plan is valid")
 }
 
-/// The reference report: one worker, scalar kernels, chunk size 1.
-fn baseline() -> &'static String {
-    static BASELINE: OnceLock<String> = OnceLock::new();
-    BASELINE.get_or_init(|| {
+/// The reference report of each axis: one worker, scalar kernels, chunk
+/// size 1.
+fn baseline(clock: bool) -> &'static String {
+    static BASELINES: [OnceLock<String>; 2] = [OnceLock::new(), OnceLock::new()];
+    BASELINES[clock as usize].get_or_init(|| {
         set_kernel_tier(Some(KernelTier::Scalar));
         set_eval_chunk(Some(1));
-        let report = run_sweep(&tiny_plan(1)).to_json_pretty();
+        let report = run_sweep(&tiny_plan(1, clock)).to_json_pretty();
         set_kernel_tier(None);
         set_eval_chunk(None);
         report
@@ -58,14 +66,16 @@ proptest! {
     /// Accumulation-order invariance, end to end: the full sweep report
     /// is byte-identical across worker-thread counts, eval chunk sizes
     /// (including chunk 1 and chunks larger than the eval set), and
-    /// kernel tiers.
+    /// kernel tiers, on the voltage and the clock-stress axis.
     #[test]
     fn sweep_report_invariant_under_scheduling_knobs(
         threads in 1usize..5,
         chunk_pick in 0usize..4,
         raw_chunk in 2usize..8,
         tier_pick in 0usize..4,
+        axis_pick in 0usize..2,
     ) {
+        let clock = axis_pick == 1;
         let chunk = [1, raw_chunk, 64, 1024][chunk_pick];
         let tier = [
             None,
@@ -73,16 +83,16 @@ proptest! {
             Some(KernelTier::Lanes),
             Some(KernelTier::Simd),
         ][tier_pick];
-        let expected = baseline().clone();
+        let expected = baseline(clock).clone();
         set_kernel_tier(tier);
         set_eval_chunk(Some(chunk));
-        let got = run_sweep(&tiny_plan(threads)).to_json_pretty();
+        let got = run_sweep(&tiny_plan(threads, clock)).to_json_pretty();
         set_kernel_tier(None);
         set_eval_chunk(None);
         prop_assert_eq!(
             got, expected,
-            "report must not depend on threads={} chunk={} tier={:?}",
-            threads, chunk, tier
+            "report must not depend on threads={} chunk={} tier={:?} (clock axis: {})",
+            threads, chunk, tier, clock
         );
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! The sweep engine evaluates fault content through the *composed* NPU
 //! path: storage faults are baked into a dense [`FaultedWeights`]
-//! artifact once, and timing drops compose into the kernel. This suite
+//! artifact once, and timing drops fold into it as zero weight words
+//! ([`FaultedWeights::drop_macs`]). This suite
 //! re-runs every model's fault content through the per-MAC reference
 //! oracle (`execute_reference_dropped`, which fetches each weight word
 //! from the SRAM array and squashes dropped products individually) and
@@ -109,12 +110,14 @@ fn composed_matches_reference_for_every_model() {
             for stress in stress_points(model.as_ref()) {
                 let faults = faults_for(model.as_ref(), stress, seed);
                 let mut array = faulted_array(&trained, &geom, &faults);
-                let weights =
+                let mut weights =
                     FaultedWeights::from_array(trained.layout(), trained.format(), &mut array);
                 let drops = faults.drops.as_ref();
+                if let Some(d) = drops {
+                    weights.drop_macs(d);
+                }
                 for (i, s) in test.iter().enumerate() {
-                    let (fast, fast_stats) =
-                        npu.execute_composed_dropped(&program, &weights, &s.input, drops);
+                    let (fast, fast_stats) = npu.execute_composed(&program, &weights, &s.input);
                     let (reference, ref_stats) = npu.execute_reference_dropped(
                         &program,
                         trained.layout(),

@@ -112,8 +112,8 @@ fn tier_from_u8(v: u8) -> Option<KernelTier> {
     }
 }
 
-/// Forces every tier-dispatched kernel ([`fx_dot`], [`fx_matvec`],
-/// [`fx_matmul`] and the `*_dropped` variants) onto `tier`, process-wide;
+/// Forces every tier-dispatched kernel ([`fx_dot`], [`fx_matvec`] and
+/// [`fx_matmul`]) onto `tier`, process-wide;
 /// `None` restores the default resolution (environment, then
 /// auto-detection).
 ///
@@ -673,152 +673,6 @@ fn mix_coords(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// [`fx_dot`] with TE-Drop error injection: MACs flagged by `drops` at
-/// `(layer, row, col)` contribute zero. Exact `i64` accumulation over the
-/// surviving terms on the active [`kernel_tier`], so any evaluation
-/// order gives identical bits.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn fx_dot_dropped(w: &[i32], x: &[i32], drops: &MacDropSpec, layer: usize, row: usize) -> i64 {
-    fx_dot_dropped_with(kernel_tier(), w, x, drops, layer, row)
-}
-
-/// [`fx_dot_dropped`] on an explicit tier. The drop verdict is a hash
-/// per coordinate, so the SIMD tier shares the lane-packed
-/// implementation (the hash, not the MAC, dominates); both reassociate
-/// the same exact masked sum as the scalar tier.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn fx_dot_dropped_with(
-    tier: KernelTier,
-    w: &[i32],
-    x: &[i32],
-    drops: &MacDropSpec,
-    layer: usize,
-    row: usize,
-) -> i64 {
-    assert_eq!(w.len(), x.len(), "fx_dot length mismatch");
-    match tier {
-        KernelTier::Scalar => {
-            let mut sum = 0i64;
-            for (col, (wv, xv)) in w.iter().zip(x).enumerate() {
-                if !drops.dropped(layer, row, col) {
-                    sum += *wv as i64 * *xv as i64;
-                }
-            }
-            sum
-        }
-        KernelTier::Lanes | KernelTier::Simd => {
-            // Four rotating partial sums keep the surviving products off
-            // one serial dependency chain; exact integer addition makes
-            // the reassociation bit-identical to the sequential mask.
-            let mut lanes = [0i64; 4];
-            for (col, (wv, xv)) in w.iter().zip(x).enumerate() {
-                if !drops.dropped(layer, row, col) {
-                    lanes[col & 3] += *wv as i64 * *xv as i64;
-                }
-            }
-            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-        }
-    }
-}
-
-/// [`fx_matvec`] with TE-Drop error injection. `row_base` is the global
-/// row index of `out[0]` so that blocked callers hash the same `(layer,
-/// row, col)` coordinates as an unblocked reference walk. Same shape
-/// contract as [`fx_matvec`].
-///
-/// # Panics
-///
-/// Panics if `w.len() != out.len() * x.len()`.
-pub fn fx_matvec_dropped(
-    w: &[i32],
-    x: &[i32],
-    out: &mut [i64],
-    drops: &MacDropSpec,
-    layer: usize,
-    row_base: usize,
-) {
-    fx_matvec_dropped_with(kernel_tier(), w, x, out, drops, layer, row_base);
-}
-
-/// [`fx_matvec_dropped`] on an explicit tier — the differential-test
-/// entry point. Same contract and panics as [`fx_matvec_dropped`].
-pub fn fx_matvec_dropped_with(
-    tier: KernelTier,
-    w: &[i32],
-    x: &[i32],
-    out: &mut [i64],
-    drops: &MacDropSpec,
-    layer: usize,
-    row_base: usize,
-) {
-    let cols = x.len();
-    assert_eq!(w.len(), out.len() * cols, "fx_matvec shape mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    for (local, (row, o)) in w.chunks_exact(cols).zip(out.iter_mut()).enumerate() {
-        *o = fx_dot_dropped_with(tier, row, x, drops, layer, row_base + local);
-    }
-}
-
-/// [`fx_matmul`] with TE-Drop error injection. The drop verdict depends
-/// only on `(layer, row, col)` — never on the sample — so a dropped MAC
-/// squashes that weight's product for **every** sample lane at once and
-/// the kernel skips whole columns. Bit-identical to running
-/// [`fx_matvec_dropped`] per sample. Same shape contract as
-/// [`fx_matmul`]; `row_base` is the global row index of the first output
-/// row, as in [`fx_matvec_dropped`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`fx_matmul`].
-pub fn fx_matmul_dropped(
-    w: &[i32],
-    x: &[i32],
-    batch: usize,
-    out: &mut [i64],
-    drops: &MacDropSpec,
-    layer: usize,
-    row_base: usize,
-) {
-    assert!(batch > 0, "fx_matmul batch must be positive");
-    assert_eq!(x.len() % batch, 0, "fx_matmul input lanes mismatch");
-    assert_eq!(out.len() % batch, 0, "fx_matmul output lanes mismatch");
-    let cols = x.len() / batch;
-    let rows = out.len() / batch;
-    assert_eq!(w.len(), rows * cols, "fx_matmul shape mismatch");
-    if cols == 0 {
-        out.fill(0);
-        return;
-    }
-    for (local, (wrow, orow)) in w
-        .chunks_exact(cols)
-        .zip(out.chunks_exact_mut(batch))
-        .enumerate()
-    {
-        let row = row_base + local;
-        orow.fill(0);
-        for (col, (xcol, &wv)) in x.chunks_exact(batch).zip(wrow).enumerate() {
-            if drops.dropped(layer, row, col) {
-                continue;
-            }
-            let wv = wv as i64;
-            for (o, &xv) in orow.iter_mut().zip(xcol) {
-                *o += wv * xv as i64;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,64 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_dot_matches_masked_reference_all_tiers() {
-        let drops = MacDropSpec::new(42, 0.35);
-        let n = 97;
-        let w: Vec<i32> = (0..n).map(|i| (i * 7919) % 65537 - 32768).collect();
-        let x: Vec<i32> = (0..n).map(|i| (i * 104729) % 65537 - 32768).collect();
-        let expect: i64 = (0..n as usize)
-            .filter(|&c| !drops.dropped(2, 5, c))
-            .map(|c| w[c] as i64 * x[c] as i64)
-            .sum();
-        assert_eq!(fx_dot_dropped(&w, &x, &drops, 2, 5), expect);
-        for tier in ALL_TIERS {
-            assert_eq!(
-                fx_dot_dropped_with(tier, &w, &x, &drops, 2, 5),
-                expect,
-                "tier {tier:?}"
-            );
-        }
-        assert_ne!(expect, dot_reference(&w, &x), "some MAC must have dropped");
-    }
-
-    #[test]
-    fn dropped_matvec_uses_global_row_indices() {
-        let drops = MacDropSpec::new(9, 0.5);
-        let (rows, cols) = (10, 17);
-        let w: Vec<i32> = (0..rows * cols).map(|i| (i % 251) as i32 - 125).collect();
-        let x: Vec<i32> = (0..cols).map(|i| (i * 3) as i32 - 50).collect();
-        let mut whole = vec![0i64; rows];
-        fx_matvec_dropped(&w, &x, &mut whole, &drops, 1, 0);
-        // Split the rows across two calls with the right row_base: same bits.
-        let mut lo = vec![0i64; 4];
-        let mut hi = vec![0i64; rows - 4];
-        fx_matvec_dropped(&w[..4 * cols], &x, &mut lo, &drops, 1, 0);
-        fx_matvec_dropped(&w[4 * cols..], &x, &mut hi, &drops, 1, 4);
-        assert_eq!(&whole[..4], &lo[..]);
-        assert_eq!(&whole[4..], &hi[..]);
-    }
-
-    #[test]
-    fn dropped_matmul_matches_per_sample_dropped_matvec() {
-        let drops = MacDropSpec::new(33, 0.4);
-        let (rows, cols, batch) = (9, 21, 5);
-        let w: Vec<i32> = (0..rows * cols).map(|i| (i % 251) as i32 - 125).collect();
-        let x: Vec<i32> = (0..cols * batch)
-            .map(|i| ((i * 53) % 401) as i32 - 200)
-            .collect();
-        let mut batched = vec![0i64; rows * batch];
-        fx_matmul_dropped(&w, &x, batch, &mut batched, &drops, 1, 3);
-        for s in 0..batch {
-            let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
-            let mut out = vec![0i64; rows];
-            fx_matvec_dropped(&w, &sample, &mut out, &drops, 1, 3);
-            for r in 0..rows {
-                assert_eq!(batched[r * batch + s], out[r], "row {r}, sample {s}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_checks_lengths() {
         let _ = fx_dot(&[1], &[1, 2]);
@@ -1020,14 +816,6 @@ mod tests {
         // not silently dot a prefix.
         let mut out = vec![0i64; 2];
         fx_matvec(&[1, 2, 3, 4], &[1, 2, 3], &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn dropped_matvec_checks_shape() {
-        let drops = MacDropSpec::new(1, 0.5);
-        let mut out = vec![0i64; 2];
-        fx_matvec_dropped(&[1, 2, 3], &[1], &mut out, &drops, 0, 0);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!
 //! * random vector lengths covering every residue class modulo the
 //!   widest lane width (tails are where lane bugs live);
-//! * the plain and TE-Drop (`*_dropped`) kernel families;
+//! * TE-Drop masks folded into the weights as zero words;
 //! * the batched matmul versus a per-sample matvec loop;
 //! * the f64 batched forward pass versus per-sample `Mlp::forward`;
 //! * the global tier dispatch (`set_kernel_tier` override, which wins
 //!   over the `MATIC_KERNEL` environment knob and auto-detection).
 
 use matic_nn::kernel::{
-    fx_dot, fx_dot_dropped_with, fx_dot_with, fx_matmul_with, fx_matvec_dropped_with,
-    fx_matvec_with, set_kernel_tier, simd_available, KernelTier, MacDropSpec,
+    fx_dot, fx_dot_with, fx_matmul_with, fx_matvec_with, set_kernel_tier, simd_available,
+    KernelTier, MacDropSpec,
 };
 use matic_nn::{Mlp, NetSpec};
 
@@ -79,35 +79,71 @@ fn matvec_parity_at_ragged_shapes() {
     }
 }
 
+/// Drops are evaluated as weight content: a layer whose dropped MACs'
+/// weights are zeroed must give, on every tier and in every batch lane,
+/// the sequential masked sum that skips those MACs — at every length
+/// residue, at both probability endpoints, and with global row indices.
 #[test]
 fn dropped_kernel_parity_across_tiers() {
     let mut rng = Rng(0xD0D0);
-    for n in [0, 1, 3, 7, 8, 9, 31, 64, 65, 200] {
+    let masked = |w: &[i32], x: &[i32], drops: &MacDropSpec, row: usize| -> i64 {
+        (0..x.len())
+            .filter(|&c| !drops.dropped(2, row, c))
+            .map(|c| w[c] as i64 * x[c] as i64)
+            .sum()
+    };
+    let fold = |w: &[i32], cols: usize, drops: &MacDropSpec| -> Vec<i32> {
+        w.iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if drops.dropped(2, i / cols, i % cols) {
+                    0
+                } else {
+                    v
+                }
+            })
+            .collect()
+    };
+    for n in [1, 3, 7, 8, 9, 31, 64, 65, 200] {
         let w = rng.vec(n);
         let x = rng.vec(n);
         for p in [0.0, 0.25, 0.8, 1.0] {
             let drops = MacDropSpec::new(42, p);
-            let scalar = fx_dot_dropped_with(KernelTier::Scalar, &w, &x, &drops, 2, 11);
+            let expect = masked(&w, &x, &drops, 0);
+            let zeroed = fold(&w, n, &drops);
             for tier in TIERS {
                 assert_eq!(
-                    fx_dot_dropped_with(tier, &w, &x, &drops, 2, 11),
-                    scalar,
-                    "fx_dot_dropped len {n} p {p} tier {tier:?}"
+                    fx_dot_with(tier, &zeroed, &x),
+                    expect,
+                    "len {n} p {p} tier {tier:?}"
                 );
             }
         }
     }
-    // Dropped matvec: tiers agree on a ragged shape with a mid-rate mask.
-    let (rows, cols) = (19, 37);
+    // A ragged layer with a mid-rate mask, batched: every lane of every
+    // row is that sample's masked sum.
+    let (rows, cols, batch) = (19, 37, 5);
     let w = rng.vec(rows * cols);
-    let x = rng.vec(cols);
+    let x = rng.vec(cols * batch);
     let drops = MacDropSpec::new(7, 0.4);
-    let mut scalar = vec![0i64; rows];
-    fx_matvec_dropped_with(KernelTier::Scalar, &w, &x, &mut scalar, &drops, 1, 0);
+    let zeroed = fold(&w, cols, &drops);
     for tier in TIERS {
-        let mut out = vec![0i64; rows];
-        fx_matvec_dropped_with(tier, &w, &x, &mut out, &drops, 1, 0);
-        assert_eq!(out, scalar, "fx_matvec_dropped tier {tier:?}");
+        let mut out = vec![0i64; rows * batch];
+        fx_matmul_with(tier, &zeroed, &x, batch, &mut out);
+        for s in 0..batch {
+            let sample: Vec<i32> = (0..cols).map(|c| x[c * batch + s]).collect();
+            let mut single = vec![0i64; rows];
+            fx_matvec_with(tier, &zeroed, &sample, &mut single);
+            for r in 0..rows {
+                let expect = masked(&w[r * cols..(r + 1) * cols], &sample, &drops, r);
+                assert_eq!(
+                    out[r * batch + s],
+                    expect,
+                    "matmul tier {tier:?} row {r} lane {s}"
+                );
+                assert_eq!(single[r], expect, "matvec tier {tier:?} row {r}");
+            }
+        }
     }
 }
 
@@ -172,8 +208,7 @@ fn conv_patch_shapes_parity_across_tiers() {
     // weight rows against a gathered receptive-field patch. These are
     // the adversarial shapes that never arise from Table I MLPs: tiny
     // odd reduction depths (k²·c = 1, 4, 9, 12, 18, 25, 27, 50, 75, …)
-    // crossed with filter counts off the 8-lane grid, plus the dropped
-    // variant at a mid-rate mask.
+    // crossed with filter counts off the 8-lane grid.
     let mut rng = Rng(0xC0A7);
     for kernel in 1usize..=5 {
         for in_c in 1usize..=3 {
@@ -189,17 +224,6 @@ fn conv_patch_shapes_parity_across_tiers() {
                     assert_eq!(
                         out, scalar,
                         "conv patch {filters}x{k2c} (k={kernel}, c={in_c}) tier {tier:?}"
-                    );
-                }
-                let drops = MacDropSpec::new(91, 0.35);
-                let mut scalar = vec![0i64; filters];
-                fx_matvec_dropped_with(KernelTier::Scalar, &w, &patch, &mut scalar, &drops, 1, 0);
-                for tier in TIERS {
-                    let mut out = vec![0i64; filters];
-                    fx_matvec_dropped_with(tier, &w, &patch, &mut out, &drops, 1, 0);
-                    assert_eq!(
-                        out, scalar,
-                        "dropped conv patch {filters}x{k2c} tier {tier:?}"
                     );
                 }
             }

@@ -421,4 +421,16 @@ mod tests {
         let eof: Option<Request> = read_message(&mut r).unwrap();
         assert!(eof.is_none(), "clean EOF");
     }
+
+    #[test]
+    fn deeply_nested_request_line_is_an_error_not_an_abort() {
+        // 200 KB of nesting: under the HTTP body cap, and far past the
+        // depth at which an unbounded recursive parser blows the stack.
+        for opener in ["[", "{\"a\":"] {
+            let line = format!("{}\n", opener.repeat(200_000 / opener.len()));
+            let mut r = std::io::BufReader::new(line.as_bytes());
+            let got = read_message::<Request>(&mut r);
+            assert!(got.is_err(), "nested `{opener}` must be rejected");
+        }
+    }
 }

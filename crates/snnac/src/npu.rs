@@ -21,7 +21,7 @@ use crate::afu::Afu;
 use crate::microcode::{MicroOp, Program};
 use matic_core::{FaultedWeights, ParamRef, WeightLayout};
 use matic_fixed::{dequantize, narrow_lane, quantize_lane, Accumulator, Fx, QFormat};
-use matic_nn::kernel::{fx_matmul, fx_matmul_dropped, fx_matvec, fx_matvec_dropped, MacDropSpec};
+use matic_nn::kernel::{fx_matmul, fx_matvec, MacDropSpec};
 use matic_sram::SramArray;
 use serde::{Deserialize, Serialize};
 
@@ -130,6 +130,11 @@ impl Snnac {
     /// accounting, since the modeled hardware still fetches every word —
     /// to the per-MAC reference path.
     ///
+    /// Timing-error drops are weight content: fold a [`MacDropSpec`]
+    /// into the artifact with [`FaultedWeights::drop_macs`] first — a
+    /// dropped MAC is a zero weight word that still costs its cycle,
+    /// fetch and MAC count.
+    ///
     /// # Panics
     ///
     /// Panics if `input` width does not match the program's first layer
@@ -139,28 +144,6 @@ impl Snnac {
         program: &Program,
         weights: &FaultedWeights,
         input: &[f64],
-    ) -> (Vec<f64>, NpuStats) {
-        self.execute_composed_dropped(program, weights, input, None)
-    }
-
-    /// [`Snnac::execute_composed`] with TE-Drop error injection: MACs
-    /// flagged by `drops` contribute zero to the accumulation (their
-    /// partial product is squashed by the Razor-style error path), while
-    /// cycle and traffic accounting is unchanged — a dropped MAC still
-    /// occupies its issue slot and its weight word is still fetched.
-    /// Bias additions ride the short accumulator path and never drop.
-    ///
-    /// `drops = None` is exactly [`Snnac::execute_composed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Snnac::execute_composed`].
-    pub fn execute_composed_dropped(
-        &self,
-        program: &Program,
-        weights: &FaultedWeights,
-        input: &[f64],
-        drops: Option<&MacDropSpec>,
     ) -> (Vec<f64>, NpuStats) {
         let mut stats = NpuStats::default();
         // The input FIFO holds the current layer's inputs (activation fmt),
@@ -219,10 +202,7 @@ impl Snnac {
                     let rows =
                         &tensor.as_raw()[base * tensor.cols()..(base + group) * tensor.cols()];
                     let dots = &mut group_dots[..group];
-                    match drops {
-                        None => fx_matvec(rows, &current_raw, dots),
-                        Some(d) => fx_matvec_dropped(rows, &current_raw, dots, d, layer, base),
-                    }
+                    fx_matvec(rows, &current_raw, dots);
                     for (pe, &dot) in dots.iter().enumerate() {
                         let mut acc = Accumulator::new();
                         acc.add_raw(dot);
@@ -296,10 +276,7 @@ impl Snnac {
                                 }
                             }
                             stats.cycles += groups * (k2c as u64 + 1 + self.group_overhead);
-                            match drops {
-                                None => fx_matvec(rows, &patch, &mut dots),
-                                Some(d) => fx_matvec_dropped(rows, &patch, &mut dots, d, layer, 0),
-                            }
+                            fx_matvec(rows, &patch, &mut dots);
                             for (f, &dot) in dots.iter().enumerate() {
                                 let mut acc = Accumulator::new();
                                 acc.add_raw(dot);
@@ -391,25 +368,6 @@ impl Snnac {
         weights: &FaultedWeights,
         inputs: &[&[f64]],
     ) -> (Vec<Vec<f64>>, NpuStats) {
-        self.execute_batch_dropped(program, weights, inputs, None)
-    }
-
-    /// [`Snnac::execute_batch`] with TE-Drop error injection. The drop
-    /// verdict is a pure function of `(layer, row, col)` — never of the
-    /// sample — so a flagged MAC squashes that weight's product in every
-    /// sample lane, exactly as [`Snnac::execute_composed_dropped`] does
-    /// sample by sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Snnac::execute_batch`].
-    pub fn execute_batch_dropped(
-        &self,
-        program: &Program,
-        weights: &FaultedWeights,
-        inputs: &[&[f64]],
-        drops: Option<&MacDropSpec>,
-    ) -> (Vec<Vec<f64>>, NpuStats) {
         let b = inputs.len();
         if b == 0 {
             return (Vec::new(), NpuStats::default());
@@ -422,7 +380,7 @@ impl Snnac {
             let mut outputs = Vec::with_capacity(b);
             let mut stats = NpuStats::default();
             for (s, input) in inputs.iter().enumerate() {
-                let (out, st) = self.execute_composed_dropped(program, weights, input, drops);
+                let (out, st) = self.execute_composed(program, weights, input);
                 if s == 0 {
                     stats = st;
                 }
@@ -495,10 +453,7 @@ impl Snnac {
                     let rows =
                         &tensor.as_raw()[base * tensor.cols()..(base + group) * tensor.cols()];
                     let dots = &mut group_dots[..group * b];
-                    match drops {
-                        None => fx_matmul(rows, &current_raw, b, dots),
-                        Some(d) => fx_matmul_dropped(rows, &current_raw, b, dots, d, layer, base),
-                    }
+                    fx_matmul(rows, &current_raw, b, dots);
                     // Fold each PE's bias into its sample lane, then
                     // narrow the whole group through the hoisted lane
                     // narrower (bit-identical to the per-value
@@ -564,10 +519,12 @@ impl Snnac {
     }
 
     /// [`Snnac::execute_reference`] with TE-Drop error injection: the
-    /// per-MAC oracle for [`Snnac::execute_composed_dropped`]. A dropped
-    /// MAC still fetches its weight word (the read-disturb side effect
-    /// and traffic accounting happen either way) but its product is
-    /// squashed before the accumulator.
+    /// per-MAC oracle for drops folded into composed weights
+    /// ([`FaultedWeights::drop_macs`], then [`Snnac::execute_composed`]).
+    /// It checks every MAC's drop verdict itself, independently of the
+    /// fold it verifies. A dropped MAC still fetches its weight word (the
+    /// read-disturb side effect and traffic accounting happen either way)
+    /// but its product is squashed before the accumulator.
     ///
     /// # Panics
     ///
@@ -898,17 +855,19 @@ mod tests {
 
         let drops = MacDropSpec::new(77, 0.3);
         let weights = FaultedWeights::from_array(model.layout(), model.format(), &mut arr);
-        let (composed, cstats) =
-            npu.execute_composed_dropped(&program, &weights, &input, Some(&drops));
+        let mut folded = weights.clone();
+        folded.drop_macs(&drops);
+        let (composed, cstats) = npu.execute_composed(&program, &folded, &input);
         let (reference, rstats) =
             npu.execute_reference_dropped(&program, model.layout(), &mut arr, &input, Some(&drops));
         assert_eq!(composed, reference, "dropped paths must agree bit-exactly");
         assert_eq!(cstats, rstats, "a dropped MAC still occupies its slot");
 
-        // With no drop spec the dropped entry points are the plain paths.
+        // A spec that drops nothing folds to the identity.
+        let mut none = weights.clone();
+        none.drop_macs(&MacDropSpec::new(77, 0.0));
+        assert_eq!(none, weights);
         let (plain, _) = npu.execute_composed(&program, &weights, &input);
-        let (none, _) = npu.execute_composed_dropped(&program, &weights, &input, None);
-        assert_eq!(plain, none);
         assert_ne!(plain, composed, "a 30 % drop rate must perturb the output");
     }
 
@@ -940,18 +899,17 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let drops = MacDropSpec::new(55, 0.25);
-        for d in [None, Some(&drops)] {
+        let mut folded = weights.clone();
+        folded.drop_macs(&MacDropSpec::new(55, 0.25));
+        for (w, dropped) in [(&weights, false), (&folded, true)] {
             for b in [1usize, 2, 3, 7] {
-                let (batched, bstats) =
-                    npu.execute_batch_dropped(&program, &weights, &refs[..b], d);
+                let (batched, bstats) = npu.execute_batch(&program, w, &refs[..b]);
                 for (input, out) in refs[..b].iter().zip(&batched) {
-                    let (single, sstats) =
-                        npu.execute_composed_dropped(&program, &weights, input, d);
-                    assert_eq!(out, &single, "batch {b} drops {}", d.is_some());
+                    let (single, sstats) = npu.execute_composed(&program, w, input);
+                    assert_eq!(out, &single, "batch {b} drops {dropped}");
                     // Stats are data-independent, so the batch reports the
                     // per-inference counters every sample shares.
-                    assert_eq!(bstats, sstats, "batch {b} drops {}", d.is_some());
+                    assert_eq!(bstats, sstats, "batch {b} drops {dropped}");
                 }
             }
         }
@@ -1030,7 +988,11 @@ mod tests {
 
         for drops in [None, Some(MacDropSpec::new(91, 0.2))] {
             let d = drops.as_ref();
-            let (composed, cstats) = npu.execute_composed_dropped(&program, &weights, &input, d);
+            let mut folded = weights.clone();
+            if let Some(d) = d {
+                folded.drop_macs(d);
+            }
+            let (composed, cstats) = npu.execute_composed(&program, &folded, &input);
             let (reference, rstats) =
                 npu.execute_reference_dropped(&program, model.layout(), &mut arr, &input, d);
             assert_eq!(composed, reference, "conv composed vs per-MAC oracle");
@@ -1082,11 +1044,12 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let drops = MacDropSpec::new(45, 0.25);
-        for d in [None, Some(&drops)] {
-            let (batched, bstats) = npu.execute_batch_dropped(&program, &weights, &refs, d);
+        let mut folded = weights.clone();
+        folded.drop_macs(&MacDropSpec::new(45, 0.25));
+        for w in [&weights, &folded] {
+            let (batched, bstats) = npu.execute_batch(&program, w, &refs);
             for (input, out) in refs.iter().zip(&batched) {
-                let (single, sstats) = npu.execute_composed_dropped(&program, &weights, input, d);
+                let (single, sstats) = npu.execute_composed(&program, w, input);
                 assert_eq!(out, &single);
                 assert_eq!(bstats, sstats);
             }

@@ -21,3 +21,20 @@ MATIC_KERNEL=lanes MATIC_EVAL_CHUNK=7 \
   --threads 2 --quiet --out sweep-lanes.json
 cmp sweep-auto.json sweep-scalar.json
 cmp sweep-auto.json sweep-lanes.json
+
+# The same three legs on the clock-stress axis: timing-error drops are
+# folded into the composed weights as zero words, so they run on the
+# same tiered kernels and must stay byte-identical too.
+"$MATIC" sweep --chips 2 --clock-stress 0.4,0.8 \
+  --benchmarks inversek2j --scale 0.2 --epochs 0.3 \
+  --threads 4 --quiet --out sweep-clock-auto.json
+MATIC_KERNEL=scalar MATIC_EVAL_CHUNK=1 \
+  "$MATIC" sweep --chips 2 --clock-stress 0.4,0.8 \
+  --benchmarks inversek2j --scale 0.2 --epochs 0.3 \
+  --threads 1 --quiet --out sweep-clock-scalar.json
+MATIC_KERNEL=lanes MATIC_EVAL_CHUNK=7 \
+  "$MATIC" sweep --chips 2 --clock-stress 0.4,0.8 \
+  --benchmarks inversek2j --scale 0.2 --epochs 0.3 \
+  --threads 2 --quiet --out sweep-clock-lanes.json
+cmp sweep-clock-auto.json sweep-clock-scalar.json
+cmp sweep-clock-auto.json sweep-clock-lanes.json
