@@ -21,7 +21,7 @@ use matic_datasets::Benchmark;
 use matic_fixed::{Accumulator, Fx, QFormat};
 use matic_harness::eval_composed_set;
 use matic_nn::kernel::{fx_dot, fx_dot_with, KernelTier};
-use matic_nn::{MomentumState, Sample, SgdConfig};
+use matic_nn::{BatchScratch, Gradients, MomentumState, Sample, SgdConfig};
 use matic_snnac::microcode::Program;
 use matic_snnac::{Chip, ChipConfig, Snnac};
 use matic_sram::{inject::bernoulli_fault_map, profile_bank, SramBank, SramConfig};
@@ -211,13 +211,15 @@ fn bench_conv(c: &mut Criterion) {
         b.iter(|| black_box(npu.execute_composed(&program, &weights, black_box(&input))))
     });
 
-    // The chain backward pass (conv/pool gradients via the per-sample
-    // fallback), per 8-sample batch.
+    // The chain backward pass training runs (the lane-batched conv/pool
+    // gradients), per 8-sample batch with reused buffers.
     let master = model.master().clone();
-    let batch: Vec<Sample> = test.iter().take(8).cloned().collect();
+    let indices: Vec<usize> = (0..8).collect();
+    let mut grads = Gradients::zeros_like(&master);
+    let mut scratch = BatchScratch::default();
     c.bench_function("chain_gradients_conv_batch8", |b| {
         b.iter(|| {
-            let grads = master.gradients(black_box(&batch));
+            master.gradients_indexed(black_box(&test), &indices, &mut grads, &mut scratch);
             black_box(grads.weights[0].get(0, 0))
         })
     });
@@ -272,6 +274,21 @@ fn bench_mat_step(c: &mut Criterion) {
     let mut master = matic_nn::Mlp::init(bench.topology(), 1);
     let mut momentum = MomentumState::zeros_like(&master);
     c.bench_function("mat_step_mnist_batch8", |b| {
+        b.iter(|| {
+            trainer.step(&mut master, &quant, &batch, 1e-6, &mut momentum);
+            black_box(master.biases()[0][0])
+        })
+    });
+
+    // The same step on the conv chain of `conv_fixture`.
+    let spec =
+        matic_nn::NetSpec::parse_topology("10x10x1;conv3x4;pool2;dense10").expect("valid chain");
+    let trainer = MatTrainer::new(spec.clone(), cfg.clone());
+    let layout = WeightLayout::new(&spec, 8, 576).unwrap();
+    let quant = ComposedQuantizer::new(cfg.weight_fmt, &layout, Some(&map));
+    let mut master = matic_nn::Mlp::init(spec, 1);
+    let mut momentum = MomentumState::zeros_like(&master);
+    c.bench_function("mat_step_conv_batch8", |b| {
         b.iter(|| {
             trainer.step(&mut master, &quant, &batch, 1e-6, &mut momentum);
             black_box(master.biases()[0][0])

@@ -214,10 +214,16 @@ impl MatTrainer {
         // Compose the fault map into dense per-layer masks once; every
         // training step then runs mask-application as a flat sweep.
         let (layout, quant) = self.compose(faults);
+        let restarts = self.cfg.restarts.max(1);
         let mut best: Option<(f64, Mlp)> = None;
-        for restart in 0..self.cfg.restarts.max(1) {
+        for restart in 0..restarts {
             let master = self.train_once(data, &quant, restart as u64);
-            let loss = quant.effective(&master).mean_loss(data);
+            // The loss only ranks candidates; a lone one needs no pass.
+            let loss = if restarts > 1 {
+                quant.effective(&master).mean_loss(data)
+            } else {
+                0.0
+            };
             if best.as_ref().is_none_or(|(b, _)| loss < *b) {
                 best = Some((loss, master));
             }

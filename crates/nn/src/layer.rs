@@ -4,14 +4,20 @@
 //!
 //! * **Free functions** ([`forward_into`], [`accumulate_gradients`])
 //!   dispatch on a `LayerSpec` value — a static match, no allocation —
-//!   and are what `Mlp`'s hot loops call per layer.
+//!   and are the per-sample reference.
 //! * The [`Layer`] **trait** with [`Dense`] / [`Conv2d`] / [`MaxPool`]
 //!   modules wraps the same functions behind an object-safe interface,
 //!   composed by [`build_chain`] for consumers that want a
 //!   `Vec<Box<dyn Layer>>` view of a network (gradcheck drivers,
 //!   external tooling, future layer kinds).
 //!
-//! Contract shared by both surfaces:
+//! Their lane-batched forms ([`forward_lanes`],
+//! [`accumulate_gradients_lanes`]) carry a whole mini-batch in
+//! column-major sample lanes and are what `Mlp`'s batched chain walk
+//! calls per layer; they are bit-identical to the per-sample reference
+//! run sample by sample, samples ascending.
+//!
+//! Contract shared by every surface:
 //!
 //! * `forward` computes `act(W·x + b)` for parameterized layers (the
 //!   exact op order of the historical dense path — matvec, then bias
@@ -196,6 +202,284 @@ pub fn accumulate_gradients(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Lane-batched [`forward_into`]: `x` and `out` hold `b` samples
+/// column-major (`[unit * b + s]`); `rows` is reusable scratch. Every
+/// lane runs the per-sample reference operations in the reference order,
+/// so each lane's bits equal a [`forward_into`] call on that sample alone.
+pub fn forward_lanes(
+    spec: &LayerSpec,
+    weights: &Matrix,
+    bias: &[f64],
+    x: &[f64],
+    b: usize,
+    out: &mut [f64],
+    rows: &mut Vec<f64>,
+) {
+    match *spec {
+        LayerSpec::Dense { act, .. } => dense_forward_lanes(weights, bias, act, x, b, out),
+        LayerSpec::Conv2d {
+            in_h,
+            in_w,
+            in_c,
+            filters,
+            kernel,
+            act,
+        } => {
+            // Each output position is a dense layer over its receptive
+            // field: gather the patch lanes in weight-column order (one
+            // kernel row's `(kx, c)` taps are a contiguous input run),
+            // then run the dense kernel — columns ascending, bias, act,
+            // exactly the reference tap loop.
+            let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
+            let span = kernel * in_c;
+            rows.resize(kernel * span * b, 0.0);
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    for (ky, run) in rows.chunks_exact_mut(span * b).enumerate() {
+                        let xi = ((oy + ky) * in_w + ox) * in_c;
+                        run.copy_from_slice(&x[xi * b..(xi + span) * b]);
+                    }
+                    let u = (oy * out_w + ox) * filters;
+                    let z = &mut out[u * b..(u + filters) * b];
+                    dense_forward_lanes(weights, bias, act, rows, b, z);
+                }
+            }
+        }
+        LayerSpec::MaxPool {
+            in_h,
+            in_w,
+            channels,
+            window,
+        } => {
+            let (out_h, out_w) = (in_h / window, in_w / window);
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    for c in 0..channels {
+                        let u = (oy * out_w + ox) * channels + c;
+                        let best = &mut out[u * b..(u + 1) * b];
+                        best.fill(f64::NEG_INFINITY);
+                        for ky in 0..window {
+                            for kx in 0..window {
+                                let xi =
+                                    ((oy * window + ky) * in_w + (ox * window + kx)) * channels + c;
+                                for (m, &xv) in best.iter_mut().zip(&x[xi * b..(xi + 1) * b]) {
+                                    if xv > *m {
+                                        *m = xv;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Lane-batched [`accumulate_gradients`] over `b` column-major samples
+/// (`x`, `delta` and `delta_in` as `[unit * b + s]`); `rows` is reusable
+/// scratch.
+///
+/// Bit-identical to calling [`accumulate_gradients`] once per sample,
+/// samples ascending: `delta_in` is per-sample, so each lane replays the
+/// reference operations; every `grad_w`/`grad_b` element sums its
+/// contributions in ascending sample order and, within one sample, in the
+/// reference position order.
+#[allow(clippy::too_many_arguments)]
+pub fn accumulate_gradients_lanes(
+    spec: &LayerSpec,
+    weights: &Matrix,
+    x: &[f64],
+    delta: &[f64],
+    b: usize,
+    grad_w: &mut Matrix,
+    grad_b: &mut [f64],
+    delta_in: Option<&mut [f64]>,
+    rows: &mut Vec<f64>,
+) {
+    match *spec {
+        LayerSpec::Dense { inputs, .. } => {
+            // Sample rows (`[s * inputs + c]`) make each sample's slice of
+            // the outer product one contiguous update of a gradient row.
+            rows.resize(inputs * b, 0.0);
+            for (c, lanes) in x.chunks_exact(b).enumerate() {
+                for (s, &xv) in lanes.iter().enumerate() {
+                    rows[s * inputs + c] = xv;
+                }
+            }
+            for (r, dl) in delta.chunks_exact(b).enumerate() {
+                let grow = &mut grad_w.as_mut_slice()[r * inputs..(r + 1) * inputs];
+                for (s, &d) in dl.iter().enumerate() {
+                    let xrow = &rows[s * inputs..(s + 1) * inputs];
+                    grad_b[r] += d;
+                    for (g, xv) in grow.iter_mut().zip(xrow) {
+                        *g += d * xv;
+                    }
+                }
+            }
+            if let Some(di) = delta_in {
+                // Wᵀ·delta per lane, rows ascending (`t_matvec_into`'s order).
+                di.fill(0.0);
+                for (r, dl) in delta.chunks_exact(b).enumerate() {
+                    for (dil, &w) in di.chunks_exact_mut(b).zip(weights.row(r)) {
+                        for (v, d) in dil.iter_mut().zip(dl) {
+                            *v += w * d;
+                        }
+                    }
+                }
+            }
+        }
+        LayerSpec::Conv2d {
+            in_h,
+            in_w,
+            in_c,
+            filters,
+            kernel,
+            ..
+        } => {
+            let (out_h, out_w) = (in_h + 1 - kernel, in_w + 1 - kernel);
+            // One kernel row's `(kx, c)` taps are contiguous in both the
+            // weight row and the input: `span` values from `base`.
+            let span = kernel * in_c;
+            let base = |oy: usize, ox: usize, ky: usize| ((oy + ky) * in_w + ox) * in_c;
+            // Sample-major so each tap's gradient sees samples ascending,
+            // then positions `(oy, ox)` ascending; `rows` holds the current
+            // receptive-field patch in weight-column order.
+            rows.resize(kernel * span, 0.0);
+            for s in 0..b {
+                for oy in 0..out_h {
+                    for ox in 0..out_w {
+                        for (ky, run) in rows.chunks_exact_mut(span).enumerate() {
+                            let xi = base(oy, ox, ky);
+                            for (j, p) in run.iter_mut().enumerate() {
+                                *p = x[(xi + j) * b + s];
+                            }
+                        }
+                        let u = (oy * out_w + ox) * filters;
+                        for (f, grow) in grad_w
+                            .as_mut_slice()
+                            .chunks_exact_mut(kernel * span)
+                            .enumerate()
+                        {
+                            let d = delta[(u + f) * b + s];
+                            grad_b[f] += d;
+                            for (g, p) in grow.iter_mut().zip(&*rows) {
+                                *g += d * p;
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(di) = delta_in {
+                di.fill(0.0);
+                for oy in 0..out_h {
+                    for ox in 0..out_w {
+                        for f in 0..filters {
+                            let u = (oy * out_w + ox) * filters + f;
+                            let dl = &delta[u * b..(u + 1) * b];
+                            for (ky, run) in weights.row(f).chunks_exact(span).enumerate() {
+                                let xi = base(oy, ox, ky);
+                                let dis = &mut di[xi * b..(xi + span) * b];
+                                for (&w, dil) in run.iter().zip(dis.chunks_exact_mut(b)) {
+                                    for (v, d) in dil.iter_mut().zip(dl) {
+                                        *v += d * w;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        LayerSpec::MaxPool {
+            in_h,
+            in_w,
+            channels,
+            window,
+        } => {
+            let (out_h, out_w) = (in_h / window, in_w / window);
+            let Some(di) = delta_in else {
+                return; // no parameters, nothing else to accumulate
+            };
+            di.fill(0.0);
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    for c in 0..channels {
+                        let u = (oy * out_w + ox) * channels + c;
+                        for s in 0..b {
+                            // Per-lane argmax; strict `>` keeps the first
+                            // maximum, as in the forward reduction.
+                            let mut best = f64::NEG_INFINITY;
+                            let mut arg = 0;
+                            for ky in 0..window {
+                                for kx in 0..window {
+                                    let xi = ((oy * window + ky) * in_w + (ox * window + kx))
+                                        * channels
+                                        + c;
+                                    if x[xi * b + s] > best {
+                                        best = x[xi * b + s];
+                                        arg = xi;
+                                    }
+                                }
+                            }
+                            di[arg * b + s] += delta[u * b + s];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `z[r] = f(Σ_c w[r][c] · x[c] + bias[r])` per lane over `b`
+/// column-major lanes, columns ascending — the exact accumulation order
+/// of [`Matrix::matvec_into`].
+fn dense_forward_lanes(
+    weights: &Matrix,
+    bias: &[f64],
+    act: Activation,
+    x: &[f64],
+    b: usize,
+    z: &mut [f64],
+) {
+    match b {
+        // Full-size mini-batches get register-resident lane accumulators;
+        // other widths take the generic product.
+        8 => dense_lanes::<8>(weights, bias, act, x, z),
+        4 => dense_lanes::<4>(weights, bias, act, x, z),
+        _ => {
+            weights.matvec_lanes_into(x, b, z);
+            for (zrow, &bv) in z.chunks_exact_mut(b).zip(bias) {
+                for zv in zrow {
+                    *zv = act.apply(*zv + bv);
+                }
+            }
+        }
+    }
+}
+
+/// [`dense_forward_lanes`] with `B` lanes held in registers.
+fn dense_lanes<const B: usize>(
+    weights: &Matrix,
+    biases: &[f64],
+    act: Activation,
+    x: &[f64],
+    z: &mut [f64],
+) {
+    for (r, zrow) in z.chunks_exact_mut(B).enumerate() {
+        let mut acc = [0.0f64; B];
+        for (xc, &w) in x.chunks_exact(B).zip(weights.row(r)) {
+            for (a, xv) in acc.iter_mut().zip(xc) {
+                *a += w * xv;
+            }
+        }
+        let bias = biases[r];
+        for (zv, a) in zrow.iter_mut().zip(acc) {
+            *zv = act.apply(a + bias);
         }
     }
 }

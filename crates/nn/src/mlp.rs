@@ -90,7 +90,7 @@ pub struct TrainScratch {
     prev: Vec<f64>,
 }
 
-/// Reusable buffers for the **batched** forward/backward pass of
+/// Reusable buffers for the lane-batched forward/backward pass of
 /// [`Mlp::gradients_indexed`].
 ///
 /// Activations and deltas are stored column-major over the mini-batch
@@ -103,13 +103,12 @@ pub struct TrainScratch {
 pub struct BatchScratch {
     /// Per-layer activations, `[unit * batch + sample]` (input included).
     acts: Vec<Vec<f64>>,
-    /// Per-layer activations transposed to `[sample * width + unit]`,
-    /// feeding the per-sample backward sweep.
-    acts_t: Vec<Vec<f64>>,
-    /// Current backprop delta of one sample.
+    /// Current backprop delta lanes.
     delta: Vec<f64>,
-    /// Next (earlier-layer) delta under construction.
+    /// Next (earlier-layer) delta lanes under construction.
     prev: Vec<f64>,
+    /// Layer-kernel scratch (sample rows, receptive-field patches).
+    rows: Vec<f64>,
 }
 
 /// Momentum accumulators matching a network's shape.
@@ -299,11 +298,11 @@ impl Mlp {
     /// Batched forward pass: one output vector per input, bit-identical
     /// to calling [`Mlp::forward`] on each input separately.
     ///
-    /// The whole batch moves through the network together in column-major
-    /// sample lanes ([`Matrix::matvec_lanes_into`]), amortizing each
-    /// weight-matrix traversal across all samples; every sample's
-    /// floating-point accumulation order is still the per-sample
-    /// reference order, so the equality is exact, not approximate.
+    /// The whole batch moves through the chain together in column-major
+    /// sample lanes ([`layer::forward_lanes`]), amortizing each weight
+    /// traversal across all samples; every sample's floating-point
+    /// accumulation order is still the per-sample reference order, so the
+    /// equality is exact, not approximate.
     ///
     /// # Panics
     ///
@@ -313,37 +312,51 @@ impl Mlp {
         if b == 0 {
             return Vec::new();
         }
-        if !self.spec.is_plain_dense() {
-            // Extended chains take the per-sample reference path; the
-            // contract (bit-identity with `forward`) holds trivially.
-            return inputs.iter().map(|x| self.forward(x)).collect();
-        }
-        let width0 = self.spec.layers[0];
-        // Interleave the inputs into column-major lanes: cur[c*b + s].
-        let mut cur = vec![0.0; width0 * b];
-        for (s, input) in inputs.iter().enumerate() {
-            assert_eq!(input.len(), width0, "input width mismatch");
-            for (c, &x) in input.iter().enumerate() {
-                cur[c * b + s] = x;
-            }
-        }
-        let mut next = Vec::new();
-        for l in 0..self.spec.depth() {
-            let rows = self.weights[l].rows();
-            next.resize(rows * b, 0.0);
-            self.weights[l].matvec_lanes_into(&cur, b, &mut next);
-            let act = self.spec.activation(l);
-            for (zrow, &bias) in next.chunks_exact_mut(b).zip(&self.biases[l]) {
-                for zv in zrow.iter_mut() {
-                    *zv = act.apply(*zv + bias);
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
+        let (mut acts, mut rows) = (Vec::new(), Vec::new());
+        self.forward_lanes(inputs.iter().copied(), b, &mut acts, &mut rows);
+        let out = acts.last().unwrap();
         let fan_out = *self.spec.layers.last().unwrap();
         (0..b)
-            .map(|s| (0..fan_out).map(|c| cur[c * b + s]).collect())
+            .map(|s| (0..fan_out).map(|c| out[c * b + s]).collect())
             .collect()
+    }
+
+    /// Lane-batched forward pass over the whole chain: interleaves the `b`
+    /// inputs into `acts[0]` as `[unit * b + s]` lanes and fills every
+    /// later layer's activations in the same layout (`rows` is layer
+    /// scratch).
+    fn forward_lanes<'a>(
+        &self,
+        inputs: impl Iterator<Item = &'a [f64]>,
+        b: usize,
+        acts: &mut Vec<Vec<f64>>,
+        rows: &mut Vec<f64>,
+    ) {
+        let depth = self.spec.depth();
+        acts.resize(depth + 1, Vec::new());
+        let width0 = self.spec.layers[0];
+        let a0 = &mut acts[0];
+        a0.resize(width0 * b, 0.0);
+        for (s, input) in inputs.enumerate() {
+            assert_eq!(input.len(), width0, "input width mismatch");
+            for (c, &x) in input.iter().enumerate() {
+                a0[c * b + s] = x;
+            }
+        }
+        for l in 0..depth {
+            let (head, tail) = acts.split_at_mut(l + 1);
+            let z = &mut tail[0];
+            z.resize(self.spec.layers[l + 1] * b, 0.0);
+            layer::forward_lanes(
+                &self.spec.layer_spec(l),
+                &self.weights[l],
+                &self.biases[l],
+                &head[l],
+                b,
+                z,
+                rows,
+            );
+        }
     }
 
     /// Computes the loss of one sample.
@@ -486,12 +499,12 @@ impl Mlp {
     /// form of [`Mlp::gradients`] that training loops drive with their
     /// shuffled index order.
     ///
-    /// The whole mini-batch moves through the network together in
-    /// column-major sample lanes, but every sample's accumulation order is
-    /// the reference order (columns ascending in the forward product, rows
-    /// ascending in the backpropagated delta, samples ascending into the
-    /// gradient totals), so the result is bit-identical to summing
-    /// [`Mlp::sample_gradients`] over the batch.
+    /// The whole mini-batch moves through the chain together in
+    /// column-major sample lanes ([`layer::forward_lanes`],
+    /// [`layer::accumulate_gradients_lanes`]). Each lane replays its
+    /// sample's reference operations, and every gradient element sums its
+    /// contributions samples ascending, so the result is bit-identical to
+    /// summing [`Mlp::sample_gradients`] over the batch.
     pub fn gradients_indexed(
         &self,
         data: &[Sample],
@@ -504,121 +517,57 @@ impl Mlp {
         if b == 0 {
             return;
         }
-        if !self.spec.is_plain_dense() {
-            // Extended chains run the per-sample reference backward; the
-            // contract (bit-identity with summed `sample_gradients`)
-            // holds trivially. Scratch vectors are borrowed from the
-            // batch buffers so repeated steps stay allocation-free.
-            let mut ts = TrainScratch {
-                acts: std::mem::take(&mut scratch.acts),
-                delta: std::mem::take(&mut scratch.delta),
-                prev: std::mem::take(&mut scratch.prev),
-            };
-            for &i in indices {
-                self.accumulate_sample_gradients(&data[i], total, &mut ts);
-            }
-            scratch.acts = ts.acts;
-            scratch.delta = ts.delta;
-            scratch.prev = ts.prev;
-            total.scale(1.0 / b as f64);
-            return;
-        }
         let depth = self.spec.depth();
+        self.forward_lanes(
+            indices.iter().map(|&i| data[i].input.as_slice()),
+            b,
+            &mut scratch.acts,
+            &mut scratch.rows,
+        );
 
-        // Forward pass, all samples in lock-step.
-        scratch.acts.resize(depth + 1, Vec::new());
-        let width0 = self.spec.layers[0];
-        let a0 = &mut scratch.acts[0];
-        a0.resize(width0 * b, 0.0);
-        for (s, &i) in indices.iter().enumerate() {
-            let input = &data[i].input;
-            assert_eq!(input.len(), width0, "input width mismatch");
-            for (c, &x) in input.iter().enumerate() {
-                a0[c * b + s] = x;
-            }
-        }
-        for l in 0..depth {
-            let rows = self.weights[l].rows();
-            let act = self.spec.activation(l);
-            let (head, tail) = scratch.acts.split_at_mut(l + 1);
-            let x = &head[l];
-            let z = &mut tail[0];
-            z.resize(rows * b, 0.0);
-            // The full-size mini-batch gets register-resident lane
-            // accumulators; ragged tail batches take the generic path.
-            // Both run the same per-lane operations in the same order.
-            match b {
-                8 => forward_layer_lanes::<8>(&self.weights[l], &self.biases[l], act, x, z),
-                4 => forward_layer_lanes::<4>(&self.weights[l], &self.biases[l], act, x, z),
-                _ => {
-                    for r in 0..rows {
-                        let zrow = &mut z[r * b..(r + 1) * b];
-                        zrow.fill(0.0);
-                        // Per sample: Σ_c w·x with columns ascending — the
-                        // exact accumulation order of `Matrix::matvec`.
-                        for (xc, &w) in x.chunks_exact(b).zip(self.weights[l].row(r)) {
-                            for (zv, xv) in zrow.iter_mut().zip(xc) {
-                                *zv += w * xv;
-                            }
-                        }
-                        let bias = self.biases[l][r];
-                        for zv in zrow.iter_mut() {
-                            *zv = act.apply(*zv + bias);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Transpose activations to per-sample rows for the backward sweep.
-        scratch.acts_t.resize(depth + 1, Vec::new());
-        for l in 0..=depth {
-            let width = self.spec.layers[l];
-            let src = &scratch.acts[l];
-            let dst = &mut scratch.acts_t[l];
-            dst.resize(width * b, 0.0);
-            for c in 0..width {
-                for s in 0..b {
-                    dst[s * width + c] = src[c * b + s];
-                }
-            }
-        }
-
-        // Backward pass, one sample at a time (samples ascending — the
-        // order the per-sample reference accumulates the batch in; each
-        // inner loop runs over contiguous per-sample slices, exactly like
-        // `sample_gradients`).
+        // Output delta lanes: dJ/dz for the output layer.
         let fan_out = *self.spec.layers.last().unwrap();
+        let out = &scratch.acts[depth];
+        scratch.delta.resize(fan_out * b, 0.0);
         for (s, &i) in indices.iter().enumerate() {
             let target = &data[i].target;
             assert_eq!(target.len(), fan_out, "target width mismatch");
-            let out = &scratch.acts_t[depth][s * fan_out..(s + 1) * fan_out];
-            scratch.delta.clear();
-            match self.spec.loss {
-                Loss::Mse => scratch.delta.extend(out.iter().zip(target).map(|(y, t)| {
-                    let dact = self.spec.output.derivative_from_output(*y);
-                    (y - t) * dact
-                })),
-                // Sigmoid + cross-entropy cancels the activation derivative.
-                Loss::CrossEntropy => scratch
-                    .delta
-                    .extend(out.iter().zip(target).map(|(y, t)| y - t)),
+            for (r, &t) in target.iter().enumerate() {
+                let y = out[r * b + s];
+                scratch.delta[r * b + s] = match self.spec.loss {
+                    Loss::Mse => (y - t) * self.spec.output.derivative_from_output(y),
+                    // Sigmoid + cross-entropy cancels the activation derivative.
+                    Loss::CrossEntropy => y - t,
+                };
             }
-            for l in (0..depth).rev() {
-                let width = self.spec.layers[l];
-                let a_l = &scratch.acts_t[l][s * width..(s + 1) * width];
-                total.weights[l].add_outer(&scratch.delta, a_l, 1.0);
-                for (g, d) in total.biases[l].iter_mut().zip(&scratch.delta) {
-                    *g += d;
+        }
+
+        for l in (0..depth).rev() {
+            let delta_in = if l > 0 {
+                scratch.prev.resize(self.spec.layers[l] * b, 0.0);
+                Some(scratch.prev.as_mut_slice())
+            } else {
+                None
+            };
+            layer::accumulate_gradients_lanes(
+                &self.spec.layer_spec(l),
+                &self.weights[l],
+                &scratch.acts[l],
+                &scratch.delta,
+                b,
+                &mut total.weights[l],
+                &mut total.biases[l],
+                delta_in,
+                &mut scratch.rows,
+            );
+            if l > 0 {
+                // The seam between layers, lane by lane (see
+                // `accumulate_sample_gradients`).
+                let act = self.spec.activation(l - 1);
+                for (p, a) in scratch.prev.iter_mut().zip(&scratch.acts[l]) {
+                    *p *= act.derivative_from_output(*a);
                 }
-                if l > 0 {
-                    scratch.prev.resize(width, 0.0);
-                    self.weights[l].t_matvec_into(&scratch.delta, &mut scratch.prev);
-                    for (p, a) in scratch.prev.iter_mut().zip(a_l) {
-                        *p *= self.spec.activation(l - 1).derivative_from_output(*a);
-                    }
-                    std::mem::swap(&mut scratch.delta, &mut scratch.prev);
-                }
+                std::mem::swap(&mut scratch.delta, &mut scratch.prev);
             }
         }
         total.scale(1.0 / b as f64);
@@ -688,31 +637,6 @@ impl Mlp {
             lr *= cfg.lr_decay;
         }
         self.mean_loss(data)
-    }
-}
-
-/// One layer of the batched forward pass with `B` sample lanes held in
-/// registers: `z[r] = f(Σ_c w[r][c] · x[c] + bias[r])` per lane, columns
-/// ascending — the exact accumulation order of [`Matrix::matvec`], so
-/// each lane's bits match the one-sample-at-a-time reference.
-fn forward_layer_lanes<const B: usize>(
-    weights: &Matrix,
-    biases: &[f64],
-    act: crate::activation::Activation,
-    x: &[f64],
-    z: &mut [f64],
-) {
-    for (r, zrow) in z.chunks_exact_mut(B).enumerate() {
-        let mut acc = [0.0f64; B];
-        for (xc, &w) in x.chunks_exact(B).zip(weights.row(r)) {
-            for (a, xv) in acc.iter_mut().zip(xc) {
-                *a += w * xv;
-            }
-        }
-        let bias = biases[r];
-        for (zv, a) in zrow.iter_mut().zip(acc) {
-            *zv = act.apply(a + bias);
-        }
     }
 }
 
@@ -822,15 +746,32 @@ mod tests {
         assert!(after < before / 4.0, "{before} -> {after}");
     }
 
+    /// Dense nets and conv/pool chains (conv after conv, conv after
+    /// pool, pool into dense) under both losses.
+    fn parity_specs() -> Vec<NetSpec> {
+        let mut specs = vec![
+            NetSpec::classifier(&[5, 7, 3]),
+            NetSpec::regressor(&[4, 6, 2]),
+        ];
+        for topo in [
+            "6x6x1;conv3x2;pool2;dense3",
+            "7x7x2;conv2x3;pool2;conv2x2;dense2",
+            "9x9x1;conv3x2;conv2x3;pool2;dense4",
+        ] {
+            let spec = NetSpec::parse_topology(topo).unwrap();
+            specs.push(spec.clone().with_loss(Loss::Mse));
+            specs.push(spec.with_loss(Loss::CrossEntropy));
+        }
+        specs
+    }
+
     #[test]
     fn batched_gradients_are_bit_identical_to_per_sample() {
         // The batched path may vectorize across samples but must keep
         // every sample's accumulation order — exact f64 equality, not
-        // approximate closeness, across losses and batch sizes.
-        for spec in [
-            NetSpec::classifier(&[5, 7, 3]),
-            NetSpec::regressor(&[4, 6, 2]),
-        ] {
+        // approximate closeness, across losses, layer kinds and batch
+        // sizes.
+        for spec in parity_specs() {
             let net = Mlp::init(spec.clone(), 11);
             let data: Vec<Sample> = (0..13)
                 .map(|i| {
@@ -843,11 +784,11 @@ mod tests {
                     Sample::new(x, t)
                 })
                 .collect();
-            for batch in [1usize, 4, 8, 13] {
+            let mut scratch = BatchScratch::default();
+            for batch in [1usize, 3, 4, 8, 13] {
                 let indices: Vec<usize> = (0..batch).collect();
                 let reference = net.gradients(&data[..batch]);
                 let mut total = Gradients::zeros_like(&net);
-                let mut scratch = BatchScratch::default();
                 net.gradients_indexed(&data, &indices, &mut total, &mut scratch);
                 assert_eq!(total, reference, "spec {spec:?} batch {batch}");
                 // Reusing the same scratch must not perturb a second run.
@@ -859,19 +800,16 @@ mod tests {
 
     #[test]
     fn forward_batch_is_bit_identical_to_forward() {
-        for spec in [
-            NetSpec::classifier(&[5, 7, 3]),
-            NetSpec::regressor(&[4, 6, 2]),
-        ] {
+        for spec in parity_specs() {
             let net = Mlp::init(spec.clone(), 19);
-            let inputs: Vec<Vec<f64>> = (0..11)
+            let inputs: Vec<Vec<f64>> = (0..13)
                 .map(|i| {
                     (0..spec.layers[0])
                         .map(|c| ((i * 13 + c * 5) % 23) as f64 / 23.0 - 0.5)
                         .collect()
                 })
                 .collect();
-            for b in [1usize, 2, 5, 11] {
+            for b in [1usize, 3, 4, 8, 13] {
                 let refs: Vec<&[f64]> = inputs[..b].iter().map(|v| v.as_slice()).collect();
                 let batched = net.forward_batch(&refs);
                 for (input, out) in refs.iter().zip(&batched) {

@@ -195,4 +195,55 @@ proptest! {
             prop_assert_eq!(out[0], masked);
         }
     }
+    /// The lane-batched chain equals the per-sample reference on random
+    /// small conv chains — bit for bit, forward and gradients, across
+    /// geometries, losses, batch sizes and a permuted index order. The
+    /// optional second conv (kernel 0 = none) puts a conv `delta_in` and a pool-to-conv
+    /// seam inside the chain.
+    #[test]
+    fn lane_chain_is_bit_identical_to_per_sample(
+        kernel in 1usize..=3,
+        in_c in 1usize..=2,
+        filters in 1usize..=3,
+        pool in 0u8..2,
+        second_kernel in 0usize..=2,
+        second_filters in 1usize..=2,
+        units in 1usize..=4,
+        cross_entropy in 0u8..2,
+        batch in 1usize..=13,
+        seed in 0u64..1000,
+    ) {
+        // Conv output side 4 keeps every pool window and second kernel valid.
+        let side = 4 + kernel - 1;
+        let mut topo = format!("{side}x{side}x{in_c};conv{kernel}x{filters}");
+        if pool == 1 {
+            topo.push_str(";pool2");
+        }
+        if second_kernel > 0 {
+            topo.push_str(&format!(";conv{second_kernel}x{second_filters}"));
+        }
+        topo.push_str(&format!(";dense{units}"));
+        let loss = if cross_entropy == 1 { Loss::CrossEntropy } else { Loss::Mse };
+        let spec = NetSpec::parse_topology(&topo).unwrap().with_loss(loss);
+        let net = Mlp::init(spec.clone(), seed);
+        let val = |i: usize| ((seed as usize * 7919 + i * 104729) % 1009) as f64 / 1009.0 - 0.5;
+        let data: Vec<Sample> = (0..13)
+            .map(|i| {
+                let x = (0..spec.layers[0]).map(|c| val(i * 1000 + c)).collect();
+                let t = (0..units).map(|c| val(i * 31 + c + 500) + 0.5).collect();
+                Sample::new(x, t)
+            })
+            .collect();
+        let indices: Vec<usize> = (0..batch).map(|i| (i * 5 + 3) % 13).collect();
+        let picked: Vec<Sample> = indices.iter().map(|&i| data[i].clone()).collect();
+
+        let mut total = Gradients::zeros_like(&net);
+        net.gradients_indexed(&data, &indices, &mut total, &mut BatchScratch::default());
+        prop_assert_eq!(&total, &net.gradients(&picked), "{}", topo);
+
+        let inputs: Vec<&[f64]> = picked.iter().map(|s| s.input.as_slice()).collect();
+        for (out, x) in net.forward_batch(&inputs).iter().zip(&inputs) {
+            prop_assert_eq!(out, &net.forward(x), "{}", topo);
+        }
+    }
 }

@@ -23,7 +23,7 @@
 use crate::http::{read_body, read_head, ChunkWriter, PROTOCOL_PATH};
 use crate::job::Job;
 use crate::pool::{spawn_workers, SharedExec, WorkQueue};
-use crate::protocol::{read_message, write_message, Event, JobStatusInfo, Request};
+use crate::protocol::{read_request, write_message, Event, JobStatusInfo, Request};
 use matic_harness::SweepCache;
 use std::collections::BTreeMap;
 use std::io::{BufReader, ErrorKind, Write};
@@ -287,7 +287,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: UnixStream) {
         .expect("connection sockets are blocking");
     let mut reader = BufReader::new(stream.try_clone().expect("cloning connection stream"));
     let mut writer = stream;
-    let request: Request = match read_message(&mut reader) {
+    let request = match read_request(&mut reader) {
         Ok(Some(req)) => req,
         Ok(None) => return, // client connected and hung up
         Err(e) => {

@@ -23,7 +23,7 @@ pub(crate) const PROTOCOL_PATH: &str = "/matic/v2";
 /// Hard cap on an HTTP head or a request body: the protocol's requests
 /// are small, so anything larger is a confused or hostile peer.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
-const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed HTTP head: the request/status line plus headers.
 pub(crate) struct HttpHead {

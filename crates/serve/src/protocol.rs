@@ -22,9 +22,10 @@
 //! `CellRecord`'s JSON round-trip is byte-lossless (the cache-replay
 //! suites prove it), so the coordinator's merged report is byte-exact.
 
+use crate::http::MAX_BODY_BYTES;
 use matic_harness::CellRecord;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 
 /// Protocol schema tag, bumped on incompatible changes.
 pub const SERVE_SCHEMA: &str = "matic.serve/v2";
@@ -273,9 +274,29 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()
 
 /// Reads one JSON-line message; `Ok(None)` on a clean EOF.
 pub fn read_message<T: Deserialize>(r: &mut impl BufRead) -> io::Result<Option<T>> {
+    read_line_capped(r, u64::MAX)
+}
+
+/// [`read_message`] for a client's [`Request`], refusing a line longer
+/// than the HTTP shim's body cap so a peer that never sends a newline
+/// cannot grow daemon memory without bound. Event reads stay uncapped:
+/// `Done` carries whole reports.
+pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
+    read_line_capped(r, MAX_BODY_BYTES as u64)
+}
+
+fn read_line_capped<T: Deserialize>(r: &mut impl BufRead, cap: u64) -> io::Result<Option<T>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let limit = cap.saturating_add(1); // the payload plus its newline
+    let n = Read::take(&mut *r, limit).read_line(&mut line)?;
+    if n == 0 {
         return Ok(None);
+    }
+    if n as u64 == limit && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            ErrorKind::InvalidData,
+            format!("message line exceeds {cap} bytes"),
+        ));
     }
     let trimmed = line.trim();
     if trimmed.is_empty() {
@@ -420,6 +441,22 @@ mod tests {
         assert!(matches!(second, Request::Status));
         let eof: Option<Request> = read_message(&mut r).unwrap();
         assert!(eof.is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn request_lines_are_capped_but_event_lines_are_not() {
+        let mut line = serde_json::to_string(&Request::Status).unwrap();
+        line.push('\n');
+        let got = read_request(&mut std::io::BufReader::new(line.as_bytes()));
+        assert!(matches!(got, Ok(Some(Request::Status))));
+        // Past the cap without a newline: refused after reading the cap.
+        let flood = vec![b'x'; 2 * MAX_BODY_BYTES];
+        let err = read_request(&mut std::io::BufReader::new(&flood[..])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        // The same flood as an event line is read whole (and fails only
+        // as JSON), because `Done` lines carry whole reports.
+        let err = read_message::<Event>(&mut std::io::BufReader::new(&flood[..])).unwrap_err();
+        assert!(!err.to_string().contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 
 use matic_harness::run_sweep_with_cache;
 use matic_serve::job::build_plan;
+use matic_serve::protocol::read_message;
 use matic_serve::{
     client, serve, shard_sweep, Endpoint, Event, JobKind, JobSpec, Request, ServeConfig,
     ShardProgress, ShardSweepConfig,
 };
 use std::fs;
+use std::io::{BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -428,6 +431,37 @@ fn draining_daemon_rejects_new_submissions_then_exits_cleanly() {
     assert_eq!(result, Ok(()), "the daemon must exit cleanly");
     assert!(!daemon.socket.exists());
     let _ = fs::remove_dir_all(&daemon.dir);
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let daemon = TestDaemon::start("oversize", 1);
+    let stream = UnixStream::connect(&daemon.socket).expect("connect");
+    // An uncapped daemon would wait forever for the newline; fail instead.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // 2 MiB with no newline, twice the request cap. The daemon hangs up
+    // once it has refused the line, so the tail of the write may fail.
+    let flood = {
+        let mut w = stream.try_clone().expect("clone stream");
+        std::thread::spawn(move || {
+            let _ = w.write_all(&vec![b'x'; 2 << 20]);
+        })
+    };
+    let answer: Option<Event> =
+        read_message(&mut BufReader::new(stream)).expect("answer is readable");
+    assert!(
+        matches!(answer, Some(Event::Error { .. })),
+        "an oversized request is answered with an error, got {answer:?}"
+    );
+    flood.join().expect("flood writer");
+    let status = client::roundtrip(&daemon.endpoint(), &Request::Status).expect("next request");
+    assert!(
+        matches!(status, Event::Status { .. }),
+        "the daemon keeps serving, got {status:?}"
+    );
+    daemon.shutdown();
 }
 
 #[test]

@@ -30,7 +30,7 @@ struct Anchor {
     plan: fn(SweepPlanBuilder) -> SweepPlanBuilder,
 }
 
-const ANCHORS: [Anchor; 4] = [
+const ANCHORS: [Anchor; 5] = [
     // --voltages 0.50,0.90 --benchmarks all
     Anchor {
         file: "sweep_all_v3.json",
@@ -64,6 +64,24 @@ const ANCHORS: [Anchor; 4] = [
                 .expect("mnist is a benchmark")
                 .topology(
                     matic_nn::NetSpec::parse_topology("10x10x1;conv3x4;pool2;dense10")
+                        .expect("topology parses"),
+                )
+        },
+    },
+    // --voltages 0.50,0.90 --benchmarks mnist
+    //     --topology '10x10x1;conv3x2;pool2;conv2x4;dense10'
+    // (conv and pool after the first layer: pins the conv `delta_in` and
+    // the pool-to-conv seam)
+    Anchor {
+        file: "sweep_conv_chain_v4.json",
+        golden: include_str!("golden/sweep_conv_chain_v4.json"),
+        schema: "matic.sweep-report/v4",
+        plan: |b| {
+            b.voltages(&[0.50, 0.90])
+                .benchmark("mnist")
+                .expect("mnist is a benchmark")
+                .topology(
+                    matic_nn::NetSpec::parse_topology("10x10x1;conv3x2;pool2;conv2x4;dense10")
                         .expect("topology parses"),
                 )
         },
@@ -123,4 +141,9 @@ fn ber_sweep_is_byte_identical_to_golden() {
 #[test]
 fn conv_clock_stress_sweep_is_byte_identical_to_golden() {
     check(&ANCHORS[3]);
+}
+
+#[test]
+fn conv_chain_voltage_sweep_is_byte_identical_to_golden() {
+    check(&ANCHORS[4]);
 }
